@@ -1,0 +1,215 @@
+#include "memsim/memsystem.hpp"
+
+#include <algorithm>
+
+namespace cool::mem {
+
+MemorySystem::MemorySystem(const topo::MachineConfig& machine,
+                           const ChannelConfig& chan)
+    : machine_(machine), pages_(machine_), mon_(machine.n_procs),
+      backend_(make_channel_backend(machine, chan)) {
+  machine_.validate();
+  l1_.reserve(machine_.n_procs);
+  l2_.reserve(machine_.n_procs);
+  for (std::uint32_t p = 0; p < machine_.n_procs; ++p) {
+    l1_.emplace_back(machine_.l1_bytes, machine_.l1_assoc, machine_.line_bytes);
+    l2_.emplace_back(machine_.l2_bytes, machine_.l2_assoc, machine_.line_bytes);
+  }
+}
+
+MemorySystem::InvalResult MemorySystem::invalidate_sharers(
+    LineAddr line, topo::ProcId requester, topo::ProcId keeper,
+    bool count_as_sharing) {
+  InvalResult res;
+  const LineState st = dir_.peek(line);
+  if (!st.is_cached()) return res;
+  for (std::uint32_t q = 0; q < machine_.n_procs; ++q) {
+    if (q == keeper || !st.has_sharer(q)) continue;
+    l1_[q].invalidate(line);
+    l2_[q].invalidate(line);
+    dir_.remove_sharer(line, q);
+    if (count_as_sharing) mon_.proc(q).invals_received += 1;
+    if (q != requester) {
+      if (count_as_sharing) mon_.proc(requester).invals_sent += 1;
+      if (!machine_.same_cluster(requester, q)) res.any_remote = true;
+      res.killed += 1;
+    }
+  }
+  return res;
+}
+
+void MemorySystem::evict_line(topo::ProcId proc, LineAddr victim) {
+  // Inclusion: an L2 victim may not linger in L1.
+  l1_[proc].invalidate(victim);
+  const LineState st = dir_.peek(victim);
+  if (st.dirty_owner == proc) {
+    mon_.proc(proc).writebacks += 1;
+    dir_.clear_dirty(victim);
+  }
+  dir_.remove_sharer(victim, proc);
+}
+
+std::uint64_t MemorySystem::access_line(topo::ProcId proc, LineAddr line,
+                                        std::uint64_t addr, std::uint64_t lo,
+                                        std::uint64_t hi, bool is_write,
+                                        std::uint64_t now) {
+  ProcCounters& c = mon_.proc(proc);
+  std::uint64_t lat = 0;
+  Service service = Service::kL1Hit;
+
+  if (l1_[proc].access(line)) {
+    service = Service::kL1Hit;
+    lat += machine_.lat.l1_hit;
+    // (presence in L1 implies presence in L2 by inclusion)
+    l2_[proc].access(line);  // keep L2 LRU warm
+  } else if (l2_[proc].access(line)) {
+    service = Service::kL2Hit;
+    lat += machine_.lat.l2_hit;
+    if (auto l1_victim = l1_[proc].insert(line)) {
+      // L1 victim stays valid in L2; nothing else to do.
+      (void)l1_victim;
+    }
+  } else {
+    // Full miss: consult the directory and the page map.
+    const topo::ProcId home = pages_.home_of(addr, proc);
+    const bool home_local = machine_.same_cluster(proc, home);
+    const LineState st = dir_.peek(line);
+
+    if (st.is_dirty() && st.dirty_owner != proc) {
+      // Serviced by forwarding from the dirty owner's cache; owner keeps a
+      // shared copy and the data is written back towards home.
+      const topo::ProcId owner = st.dirty_owner;
+      const bool owner_local = machine_.same_cluster(proc, owner);
+      service = owner_local ? Service::kLocalCache : Service::kRemoteCache;
+      lat += owner_local ? machine_.lat.local_cache : machine_.lat.remote_cache;
+      dir_.clear_dirty(line);
+      mon_.proc(owner).writebacks += 1;
+    } else {
+      service = home_local ? Service::kLocalMem : Service::kRemoteMem;
+      lat += home_local ? machine_.lat.local_mem : machine_.lat.remote_mem;
+      const std::uint64_t wait = backend_->demand_fill(
+          machine_.cluster_of(home), line * machine_.line_bytes, now + lat);
+      lat += wait;
+      c.contention_cycles += wait;
+    }
+
+    if (auto victim = l2_[proc].insert(line)) evict_line(proc, *victim);
+    l1_[proc].insert(line);
+    dir_.add_sharer(line, proc);
+  }
+
+  if (is_write) {
+    const LineState st = dir_.peek(line);
+    if (st.dirty_owner != proc) {
+      const InvalResult inv = invalidate_sharers(line, proc, proc);
+      if (inv.killed > 0) {
+        c.upgrades += 1;
+        lat += inv.any_remote ? machine_.lat.inval_remote
+                              : machine_.lat.inval_local;
+        for (AccessObserver* o : observers_) o->on_inval(addr, proc, inv.killed);
+      }
+      dir_.set_dirty(line, proc);
+    }
+    c.writes += 1;
+  } else {
+    c.reads += 1;
+  }
+
+  c.serviced[static_cast<int>(service)] += 1;
+  c.latency_cycles += lat;
+  if (!observers_.empty()) {
+    // The line is cached here by now, so its page is necessarily bound and
+    // this lookup cannot first-touch (the tap never perturbs the page map).
+    const AccessInfo info{proc,     addr,
+                          service,  is_write,
+                          static_cast<std::uint32_t>(lat),
+                          pages_.home_of(addr, proc),
+                          lo,       hi};
+    for (AccessObserver* o : observers_) o->on_access(info);
+  }
+  return lat;
+}
+
+std::uint64_t MemorySystem::access(topo::ProcId proc, std::uint64_t addr,
+                                   std::uint64_t bytes, bool is_write,
+                                   std::uint64_t now) {
+  COOL_CHECK(proc < machine_.n_procs, "access: processor id out of range");
+  COOL_CHECK(bytes > 0, "access: empty range");
+  const LineAddr first = machine_.line_of(addr);
+  const LineAddr last = machine_.line_of(addr + bytes - 1);
+  std::uint64_t total = 0;
+  for (LineAddr line = first; line <= last; ++line) {
+    const std::uint64_t line_start = line * machine_.line_bytes;
+    // The byte sub-range of this line the program actually touched: byte
+    // precision lets the race detector distinguish true sharing from false
+    // sharing within one line.
+    const std::uint64_t lo = std::max(addr, line_start);
+    const std::uint64_t hi = std::min(addr + bytes, line_start + machine_.line_bytes);
+    total += access_line(proc, line, line_start, lo, hi, is_write, now + total);
+  }
+  return total;
+}
+
+std::uint64_t MemorySystem::migrate(topo::ProcId caller, std::uint64_t addr,
+                                    std::uint64_t bytes,
+                                    topo::ProcId new_home) {
+  COOL_CHECK(caller < machine_.n_procs, "migrate: caller out of range");
+  COOL_CHECK(new_home < machine_.n_procs, "migrate: target out of range");
+  COOL_CHECK(bytes > 0, "migrate: empty range");
+
+  const auto pages = pages_.pages_in(addr, bytes);
+  const std::uint64_t lines_per_page = machine_.page_bytes / machine_.line_bytes;
+  for (const PageAddr page : pages) {
+    // Flush every cached line of the page (DASH migrates physical pages, so
+    // stale cached copies must go; dirty data is written back first).
+    const LineAddr first_line = page * lines_per_page;
+    for (std::uint64_t i = 0; i < lines_per_page; ++i) {
+      const LineAddr line = first_line + i;
+      const LineState st = dir_.peek(line);
+      if (!st.is_cached()) continue;
+      if (st.is_dirty()) mon_.proc(st.dirty_owner).writebacks += 1;
+      // Page-migration flushes are not write-sharing traffic.
+      invalidate_sharers(line, caller, kNoOwner, /*count_as_sharing=*/false);
+    }
+    pages_.bind_range(page * machine_.page_bytes, machine_.page_bytes,
+                      new_home);
+  }
+  const auto n = static_cast<std::uint64_t>(pages.size());
+  mon_.proc(caller).pages_migrated += n;
+  return n * machine_.lat.page_copy;
+}
+
+std::uint64_t MemorySystem::prefetch(topo::ProcId proc, std::uint64_t addr,
+                                     std::uint64_t bytes, std::uint64_t now) {
+  COOL_CHECK(proc < machine_.n_procs, "prefetch: processor id out of range");
+  COOL_CHECK(bytes > 0, "prefetch: empty range");
+  const LineAddr first = machine_.line_of(addr);
+  const LineAddr last = machine_.line_of(addr + bytes - 1);
+  std::uint64_t brought = 0;
+  for (LineAddr line = first; line <= last; ++line) {
+    if (l2_[proc].contains(line)) continue;
+    const LineState st = dir_.peek(line);
+    if (st.is_dirty()) continue;  // leave dirty lines to demand misses
+    const topo::ProcId home = pages_.home_of(line * machine_.line_bytes, proc);
+    // Prefetches overlap execution but still consume memory bandwidth: they
+    // add service backlog at the home controller (delaying demand misses)
+    // without making this processor wait.
+    backend_->post_fill(machine_.cluster_of(home), line * machine_.line_bytes,
+                        now);
+    if (auto victim = l2_[proc].insert(line)) evict_line(proc, *victim);
+    l1_[proc].insert(line);
+    dir_.add_sharer(line, proc);
+    ++brought;
+  }
+  mon_.proc(proc).prefetches += brought;
+  return brought;
+}
+
+void MemorySystem::flush_all_caches() {
+  for (auto& c : l1_) c.clear();
+  for (auto& c : l2_) c.clear();
+  dir_.clear();
+  backend_->reset();
+}
+
+}  // namespace cool::mem

@@ -1,0 +1,134 @@
+// MemorySystem: the simulated DASH memory hierarchy.
+//
+// Execution-driven model: application code runs natively; every simulated
+// memory reference is routed through here to (a) decide which level of the
+// hierarchy services it, (b) charge the paper's latencies, (c) maintain
+// directory coherence across the per-processor two-level caches, and
+// (d) account everything in the PerfMonitor.
+//
+// The model reproduces the behaviours the paper's figures measure:
+//   * cache reuse (back-to-back task scheduling -> L1/L2 hits),
+//   * local vs. remote miss service (object distribution & object affinity),
+//   * invalidations from write sharing (LocusRoute CostArray),
+//   * memory-controller contention (panel distribution "spreads the memory
+//     bandwidth requirements"),
+//   * page-granularity migration (COOL's migrate()).
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "memsim/access_observer.hpp"
+#include "memsim/cache.hpp"
+#include "memsim/channel/backend.hpp"
+#include "memsim/directory.hpp"
+#include "memsim/pagemap.hpp"
+#include "memsim/perfmon.hpp"
+#include "topology/machine.hpp"
+
+namespace cool::mem {
+
+class MemorySystem {
+ public:
+  /// `chan` selects the memory-timing backend (default: the flat model,
+  /// byte-identical to the pre-backend MemorySystem).
+  explicit MemorySystem(const topo::MachineConfig& machine,
+                        const ChannelConfig& chan = {});
+
+  /// Simulate `proc` referencing [addr, addr+bytes) at time `now`
+  /// (line-by-line). Returns the total stall cycles charged.
+  std::uint64_t access(topo::ProcId proc, std::uint64_t addr,
+                       std::uint64_t bytes, bool is_write, std::uint64_t now);
+
+  /// Migrate every page overlapping [addr, addr+bytes) to `new_home`'s local
+  /// memory: flushes cached copies (writing back dirty lines), rebinds the
+  /// pages, and returns the cycles charged to the calling processor.
+  std::uint64_t migrate(topo::ProcId caller, std::uint64_t addr,
+                        std::uint64_t bytes, topo::ProcId new_home);
+
+  /// Prefetch [addr, addr+bytes) into `proc`'s caches (paper §8: prefetching
+  /// the remaining affinity objects). Clean lines only — lines dirty in
+  /// another cache are skipped to keep coherence simple. Prefetches are
+  /// modelled as fully overlapped: the caller charges only an issue cost.
+  /// Returns the number of lines actually brought in.
+  std::uint64_t prefetch(topo::ProcId proc, std::uint64_t addr,
+                         std::uint64_t bytes, std::uint64_t now);
+
+  /// Bind pages at allocation time (COOL's placed `new`); no flush, no charge.
+  void bind_range(std::uint64_t addr, std::uint64_t bytes, topo::ProcId home) {
+    pages_.bind_range(addr, bytes, home);
+  }
+
+  /// Home processor of `addr` (first-touch binds to `toucher`).
+  topo::ProcId home_of(std::uint64_t addr, topo::ProcId toucher) {
+    return pages_.home_of(addr, toucher);
+  }
+
+  PageMap& pages() noexcept { return pages_; }
+  PerfMonitor& monitor() noexcept { return mon_; }
+  [[nodiscard]] const PerfMonitor& monitor() const noexcept { return mon_; }
+  Directory& directory() noexcept { return dir_; }
+  [[nodiscard]] const topo::MachineConfig& machine() const noexcept {
+    return machine_;
+  }
+
+  /// The active memory-timing backend (never null); see channel/backend.hpp.
+  [[nodiscard]] const ChannelBackend& channel() const noexcept {
+    return *backend_;
+  }
+
+  /// Drop all cache and directory state (not the page map). Tests use this;
+  /// benches use it to separate warm-up from measurement.
+  void flush_all_caches();
+
+  /// Attach a passive per-access tap (in addition to any already attached).
+  /// Observers are invoked in attachment order, after each line's simulated
+  /// state is final, so they can never perturb timing; each must outlive the
+  /// accesses it observes.
+  void add_observer(AccessObserver* obs) {
+    if (obs != nullptr) observers_.push_back(obs);
+  }
+
+  void remove_observer(AccessObserver* obs) noexcept {
+    std::erase(observers_, obs);
+  }
+
+  /// Legacy single-observer hook: detach everything, then attach `obs`
+  /// (nullptr = detach all).
+  void set_observer(AccessObserver* obs) {
+    observers_.clear();
+    add_observer(obs);
+  }
+
+ private:
+  std::uint64_t access_line(topo::ProcId proc, LineAddr line,
+                            std::uint64_t addr, std::uint64_t lo,
+                            std::uint64_t hi, bool is_write,
+                            std::uint64_t now);
+  /// Handle an L2 victim: maintain inclusion and directory state.
+  void evict_line(topo::ProcId proc, LineAddr victim);
+  /// Invalidate every cached copy of `line` except at `keeper` (pass kNoOwner
+  /// to invalidate everywhere). Returns the number of copies killed and
+  /// whether any was in a different cluster than `requester`.
+  struct InvalResult {
+    int killed = 0;
+    bool any_remote = false;
+  };
+  InvalResult invalidate_sharers(LineAddr line, topo::ProcId requester,
+                                 topo::ProcId keeper,
+                                 bool count_as_sharing = true);
+
+  topo::MachineConfig machine_;
+  std::vector<Cache> l1_;
+  std::vector<Cache> l2_;
+  Directory dir_;
+  PageMap pages_;
+  PerfMonitor mon_;
+  /// Memory-controller contention model; see channel/backend.hpp for the
+  /// queueing-delay discipline shared by both backends.
+  std::unique_ptr<ChannelBackend> backend_;
+  std::vector<AccessObserver*> observers_;  ///< Passive taps, in attach order.
+};
+
+}  // namespace cool::mem

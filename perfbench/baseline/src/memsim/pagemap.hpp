@@ -1,0 +1,65 @@
+// Page-granularity placement map: which processor's local memory holds each
+// page of the simulated shared address space.
+//
+// This models DASH's physical page placement: COOL's `new (proc)` registers
+// pages at allocation time, `migrate()` rebinds whole pages (the paper's
+// footnote 2: "the migrate call ... is implemented through the migration of
+// entire pages spanned by the object"), and `home()` is a lookup (footnote 3).
+// Unregistered pages are bound on first touch to the accessing processor's
+// memory, matching "by default, memory is allocated from the local memory of
+// the requesting processor".
+#pragma once
+
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
+#include "topology/machine.hpp"
+
+namespace cool::mem {
+
+using PageAddr = std::uint64_t;
+
+class PageMap {
+ public:
+  explicit PageMap(const topo::MachineConfig& machine) : machine_(machine) {}
+
+  /// Bind every page overlapping [addr, addr+size) to `home`'s local memory.
+  /// Returns the number of pages bound. Re-binding an already-bound page is
+  /// allowed (it is exactly what migrate does).
+  std::size_t bind_range(std::uint64_t addr, std::uint64_t size,
+                         topo::ProcId home);
+
+  /// Home processor of the page containing `addr`; binds on first touch to
+  /// `toucher` if unbound.
+  topo::ProcId home_of(std::uint64_t addr, topo::ProcId toucher);
+
+  /// Home of `addr` if bound (does not first-touch). Throws if unbound.
+  [[nodiscard]] topo::ProcId home_of_bound(std::uint64_t addr) const;
+
+  [[nodiscard]] bool is_bound(std::uint64_t addr) const;
+
+  /// Pages overlapped by [addr, addr+size).
+  [[nodiscard]] std::vector<PageAddr> pages_in(std::uint64_t addr,
+                                               std::uint64_t size) const;
+
+  [[nodiscard]] std::size_t n_bound_pages() const noexcept { return map_.size(); }
+  [[nodiscard]] std::uint64_t first_touch_count() const noexcept {
+    return first_touches_;
+  }
+
+  /// Pages currently homed at each processor (load-balance diagnostics).
+  [[nodiscard]] std::vector<std::size_t> pages_per_proc() const;
+
+  void clear() {
+    map_.clear();
+    first_touches_ = 0;
+  }
+
+ private:
+  const topo::MachineConfig& machine_;
+  std::unordered_map<PageAddr, topo::ProcId> map_;
+  std::uint64_t first_touches_ = 0;
+};
+
+}  // namespace cool::mem

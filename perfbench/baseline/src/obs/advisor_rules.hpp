@@ -1,0 +1,103 @@
+// Advisor rule engine — the machine-readable half of the locality advisor.
+//
+// The PR 3 advisor turned a ProfileSnapshot plus a metrics Snapshot into
+// ranked prose advice. The adaptive runtime (src/adaptive) needs the same
+// diagnoses *online*, as data it can act on, every epoch. To keep one
+// implementation, the rules live here as a pure function of the snapshots:
+// `advisor::evaluate()` returns structured Findings carrying every number a
+// rule used to fire, and the offline advisor (obs/advisor.hpp) renders those
+// Findings into its unchanged prose report. Neither consumer re-implements a
+// threshold.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+
+namespace cool::obs {
+
+enum class AdviceKind : std::uint8_t {
+  kMigrateObject,    ///< Re-home the object near its dominant user.
+  kDistributeObject, ///< Spread the object across cluster memories.
+  kTaskAffinity,     ///< Add TASK affinity to the tasks sharing an object.
+  kWholeSetStealing, ///< Enable Policy::steal_whole_sets.
+  kStealStorm,       ///< Steal scans mostly fail: work starvation.
+  kIdleImbalance,    ///< Processors idle a large fraction of the span.
+  kLatencyTarget,    ///< Request p99 above AdaptPolicy::latency_target_cycles.
+  kBandwidthBound,   ///< Memory channels saturated: queueing, not distance.
+};
+const char* advice_kind_name(AdviceKind k);
+
+/// Rule thresholds. The defaults suit the paper-scale benches; tests pin
+/// them explicitly where a rule boundary matters. The adaptive engine
+/// evaluates per-epoch deltas, so it lowers the absolute floors.
+struct AdvisorConfig {
+  std::uint64_t min_misses = 64;    ///< Ignore objects with fewer misses.
+  double dominant_frac = 0.60;      ///< Cluster share that counts as dominant.
+  double remote_frac = 0.40;        ///< Remote-miss share worth acting on.
+  std::uint64_t min_set_tasks = 4;  ///< Ignore smaller affinity sets.
+  double steal_fail_ratio = 4.0;    ///< Failed scans per successful steal.
+  std::uint64_t min_failed_scans = 256;
+  double idle_frac = 0.25;          ///< Idle share of the span worth flagging.
+  /// Busiest channel's busy share of the span (peak mem.chan.<i>.busy_cycles
+  /// over sim.time) at which memory is called bandwidth-bound. Only fires
+  /// when a channel backend exports mem.chan.* gauges.
+  double bandwidth_sat_frac = 0.50;
+};
+
+namespace advisor {
+
+/// One rule firing, with every input the rule consulted. Which fields are
+/// meaningful depends on `kind`: object rules fill the obj_*/cluster fields,
+/// set rules the set_* fields, scheduler rules the scan/idle fields.
+struct Finding {
+  AdviceKind kind = AdviceKind::kMigrateObject;
+  std::string subject;       ///< Object name or set label.
+  std::uint64_t weight = 0;  ///< Ranking key (stall cycles at stake).
+
+  // Object rules (kMigrateObject / kDistributeObject).
+  std::uint64_t obj_addr = 0;   ///< Simulated (arena-relative) start address.
+  std::uint64_t obj_bytes = 0;
+  std::size_t user_cluster = 0; ///< Cluster issuing the most misses.
+  double user_share = 0.0;
+  std::size_t home_cluster = 0; ///< Cluster servicing the most misses.
+  double home_share = 0.0;
+  double remote_frac = 0.0;     ///< Remote share of the object's misses.
+  std::uint64_t remote_stall_cycles = 0;
+
+  // Set rules (kTaskAffinity / kWholeSetStealing).
+  std::uint64_t set_key = 0;    ///< Simulated address of the affinity object.
+  HintClass hint = HintClass::kNone;
+  std::uint64_t set_tasks = 0;
+  std::uint64_t set_stolen = 0;
+  std::size_t set_procs = 0;    ///< Distinct processors that ran the set.
+  std::uint64_t stall_cycles = 0;
+
+  // Scheduler rules (kStealStorm / kIdleImbalance).
+  std::uint64_t failed_scans = 0;
+  std::uint64_t steals = 0;
+  double idle_frac = 0.0;
+  std::uint64_t idle_cycles = 0;
+  std::uint64_t busy_cycles = 0;
+  std::uint64_t queued_max = 0;  ///< Deepest single queue (gauge, not delta).
+
+  // Memory-channel rule (kBandwidthBound).
+  double saturation = 0.0;       ///< Peak per-channel busy share of the span.
+  std::uint64_t chan_count = 0;
+  std::uint64_t chan_busy_cycles = 0;
+  double row_hit_frac = 0.0;     ///< Hits over hits+misses+conflicts.
+  std::uint64_t queue_full_stalls = 0;
+};
+
+/// Run every rule over the profile and the metric snapshot
+/// (Runtime::obs_snapshot() names: sched.*, proc.*). Returns findings sorted
+/// by descending weight (ties broken by subject) — deterministic for a
+/// deterministic simulation.
+std::vector<Finding> evaluate(const ProfileSnapshot& p, const Snapshot& metrics,
+                              const AdvisorConfig& cfg = {});
+
+}  // namespace advisor
+}  // namespace cool::obs

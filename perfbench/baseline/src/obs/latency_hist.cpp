@@ -1,0 +1,71 @@
+#include "obs/latency_hist.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+
+namespace cool::obs {
+
+std::size_t LatencyHist::bucket_of(std::uint64_t value) noexcept {
+  if (value < kSubBuckets) return static_cast<std::size_t>(value);
+  // Octave m = position of the MSB (>= kSubBits here); the octave's
+  // kSubBuckets linear sub-buckets each span 2^(m-kSubBits) values.
+  const auto m = static_cast<std::uint32_t>(std::bit_width(value) - 1);
+  const std::uint64_t sub = (value - (std::uint64_t{1} << m)) >> (m - kSubBits);
+  return static_cast<std::size_t>(kSubBuckets) * (m - kSubBits + 1) +
+         static_cast<std::size_t>(sub);
+}
+
+std::uint64_t LatencyHist::bucket_upper(std::size_t b) noexcept {
+  if (b < kSubBuckets) return static_cast<std::uint64_t>(b);
+  const auto octave = static_cast<std::uint32_t>(b / kSubBuckets);  // >= 1
+  const std::uint32_t m = octave + kSubBits - 1;
+  const std::uint64_t sub = b % kSubBuckets;
+  const std::uint64_t lower =
+      (std::uint64_t{1} << m) + (sub << (m - kSubBits));
+  return lower + ((std::uint64_t{1} << (m - kSubBits)) - 1);
+}
+
+void LatencyHist::record(std::uint64_t value) noexcept {
+  ++counts_[bucket_of(value)];
+  ++count_;
+  sum_ += value;
+  max_ = std::max(max_, value);
+}
+
+void LatencyHist::merge(const LatencyHist& other) noexcept {
+  for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
+  count_ += other.count_;
+  sum_ += other.sum_;
+  max_ = std::max(max_, other.max_);
+}
+
+LatencyHist LatencyHist::diff(const LatencyHist& earlier) const noexcept {
+  LatencyHist d;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const std::uint64_t cur = counts_[b];
+    const std::uint64_t old = earlier.counts_[b];
+    const std::uint64_t n = cur > old ? cur - old : 0;
+    d.counts_[b] = n;
+    d.count_ += n;
+  }
+  d.sum_ = sum_ > earlier.sum_ ? sum_ - earlier.sum_ : 0;
+  d.max_ = max_;  // cumulative upper bound; see header
+  return d;
+}
+
+std::uint64_t LatencyHist::quantile(double q) const noexcept {
+  if (count_ == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(q * static_cast<double>(count_))));
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    seen += counts_[b];
+    if (seen >= rank) return std::min(bucket_upper(b), max_);
+  }
+  return max_;
+}
+
+}  // namespace cool::obs

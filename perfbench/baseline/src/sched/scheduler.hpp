@@ -1,0 +1,332 @@
+// The COOL runtime scheduler: placement of tasks by affinity hints, per-server
+// queues, and work stealing with the paper's policies.
+//
+// Placement (paper §4.1/§5):
+//   PROCESSOR affinity  -> server = n mod P
+//   OBJECT / simple / default affinity -> server = home(object)
+//   TASK affinity only  -> server = home(task object)
+//   no hints            -> the spawning processor's own queue
+// plus, for tasks with TASK affinity, the affinity-set key = object address /
+// line size, hashed into the server's queue array (the second modulo).
+//
+// Stealing (paper §4.2, §6.3): an idle processor steals; whole task-affinity
+// sets may be stolen together; object-affinity tasks are stolen only as a
+// last resort (or never, by policy); `cluster_first` restricts the first
+// round of victims to the thief's own cluster — the Panel Cholesky
+// "Distr+Aff+ClusterStealing" experiment; `cluster_only` forbids stealing
+// outside the cluster entirely.
+//
+// Concurrency: the scheduler is internally synchronised — place/acquire/
+// enqueue_* may be called from any number of threads with no external lock.
+// Each ServerQueues carries its own mutex (thieves use try_lock and never
+// convoy behind owners), statistics are sharded per server and aggregated on
+// read, and an idle/wakeup protocol (per-server condition variables plus a
+// global atomic work counter) lets engine workers sleep when no runnable work
+// exists without missing wakeups. A single-threaded caller (the simulation
+// engine) sees exactly the old sequential behaviour: uncontended locks always
+// succeed, so every placement and steal decision is unchanged.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <unordered_set>
+#include <vector>
+
+#include "common/stats.hpp"
+#include "common/thread_annotations.hpp"
+#include "obs/metrics.hpp"
+#include "sched/balancer.hpp"
+#include "sched/policy.hpp"
+#include "sched/queues.hpp"
+#include "topology/levels.hpp"
+#include "topology/machine.hpp"
+
+namespace cool::sched {
+
+/// Aggregated scheduler counters. This is a point-in-time snapshot: the
+/// scheduler accumulates into per-server shards and `Scheduler::stats()`
+/// sums them on read.
+struct SchedStats {
+  std::uint64_t spawned = 0;
+  std::uint64_t placed_processor = 0;  ///< Placed via PROCESSOR hint.
+  std::uint64_t placed_object = 0;     ///< Placed via OBJECT/simple/default hint.
+  std::uint64_t placed_task = 0;       ///< Placed via TASK hint (no OBJECT).
+  std::uint64_t placed_local = 0;      ///< No hints: spawner's queue.
+  std::uint64_t placed_multi = 0;      ///< Size-weighted multi-object placement.
+  std::uint64_t placed_round_robin = 0;///< Base mode round-robin placement.
+  std::uint64_t pops = 0;
+  std::uint64_t steals = 0;            ///< Successful steal operations.
+  std::uint64_t set_steals = 0;        ///< ... of which whole sets.
+  std::uint64_t tasks_stolen = 0;      ///< Tasks acquired via stealing.
+  std::uint64_t remote_cluster_steals = 0;
+  std::uint64_t failed_steal_scans = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t balance_commands = 0;  ///< Balancer commands executed.
+  std::uint64_t balance_moves = 0;     ///< Tasks relocated by move commands.
+  std::uint64_t reserve_hits = 0;      ///< Placements redirected by Reserve.
+};
+
+class Scheduler {
+ public:
+  /// `home` resolves an object address to the processor homing it. It is
+  /// called without any scheduler lock held; a concurrent engine must make
+  /// it thread-safe itself.
+  using HomeFn = std::function<topo::ProcId(std::uint64_t addr, topo::ProcId toucher)>;
+
+  Scheduler(const topo::MachineConfig& machine, Policy policy, HomeFn home);
+
+  /// Decide the server and affinity key for `t` (spawned by `spawner`) and
+  /// enqueue it. Returns the chosen server. Once enqueued the task may be
+  /// acquired (and even completed) by another thread immediately, so neither
+  /// place() nor its caller touches `t` after the enqueue.
+  topo::ProcId place(TaskDesc* t, topo::ProcId spawner);
+
+  /// Re-enqueue an unblocked task on its server, at the front.
+  void enqueue_resumed(TaskDesc* t);
+
+  /// Re-enqueue a yielded task on its current server, at the back.
+  void enqueue_yielded(TaskDesc* t);
+
+  /// Result of an acquire attempt.
+  struct Acquired {
+    TaskDesc* task = nullptr;
+    bool stolen = false;
+    bool stolen_remote_cluster = false;
+    /// Task arrived via a balancer kMoveTasks command (Average policy);
+    /// `victim` names the source server, `stolen` stays false.
+    bool moved = false;
+    topo::ProcId victim = 0;  ///< Who the task was stolen from (when stolen).
+    /// A steal scan skipped at least one victim whose lock was busy. The
+    /// caller should retry (spin) instead of sleeping: the busy victim may
+    /// hold stealable work that was invisible to this scan.
+    bool contended = false;
+  };
+
+  /// Get work for `proc`: local pop first, then steal per policy.
+  Acquired acquire(topo::ProcId proc);
+
+  // --- Idle/wakeup protocol -------------------------------------------------
+  //
+  // A worker that fails to acquire must not spin on "some queue is non-empty"
+  // (queued tasks may be pinned to other servers) and must not sleep past a
+  // new enqueue. Protocol: snapshot work_version() BEFORE the failed acquire,
+  // then call wait_for_work() with that snapshot; every enqueue bumps the
+  // version and wakes sleepers, so a version mismatch means new work arrived
+  // somewhere after the snapshot and the wait returns immediately.
+
+  /// Global enqueue counter; bumped whenever a task lands on any queue.
+  [[nodiscard]] std::uint64_t work_version() const noexcept {
+    return work_version_.load();
+  }
+
+  /// Block `proc` until the work version moves past `seen` or `give_up()`
+  /// returns true. `give_up` is evaluated under the per-server gate mutex and
+  /// must be safe to call from any thread (read atomics only).
+  template <typename Pred>
+  void wait_for_work(topo::ProcId proc, std::uint64_t seen, Pred give_up) {
+    obs_idle_sleeps_.add(proc);
+    IdleGate& g = gates_[proc];
+    util::MutexLock l(g.m);
+    g.sleeping.store(true);
+    g.cv.wait(l, [&] { return work_version_.load() != seen || give_up(); });
+    g.sleeping.store(false);
+    obs_idle_wakeups_.add(proc);
+  }
+
+  /// Wake every sleeping worker (shutdown / completion). Bumps the version so
+  /// a worker between snapshot and wait does not go back to sleep.
+  void notify_all_waiters();
+
+  [[nodiscard]] bool has_local_work(topo::ProcId proc) const {
+    return !queues_[proc].empty();
+  }
+  [[nodiscard]] bool any_work() const;
+  [[nodiscard]] std::size_t total_queued() const;
+
+  /// Aggregate the per-server stat shards into one snapshot.
+  [[nodiscard]] SchedStats stats() const;
+
+  /// Register the scheduler's live metrics (steal-scan lengths, idle
+  /// transitions, affinity-set run lengths) with an obs registry whose shard
+  /// count covers this machine's processors. Call before any scheduling
+  /// activity; un-attached, the hooks are no-ops. The registry must outlive
+  /// the scheduler.
+  void attach_obs(obs::Registry& reg);
+
+  [[nodiscard]] const ServerQueues& queues(topo::ProcId p) const {
+    return queues_.at(p);
+  }
+
+  /// Validate every per-queue structural invariant plus the idle-protocol
+  /// monotonicity of the work version (it may only move forward). Safe to
+  /// call concurrently with scheduling; throws util::Error on violation.
+  void check_queues() const;
+
+  /// Visit every currently-queued task across all servers (each queue's lock
+  /// is held only while that queue is walked).
+  void for_each_queued(const std::function<void(const TaskDesc*)>& fn) const;
+
+  [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
+  [[nodiscard]] const topo::MachineConfig& machine() const noexcept {
+    return machine_;
+  }
+
+  // --- Adaptive-runtime hooks (src/adaptive) --------------------------------
+
+  /// Enable/disable TASK-affinity promotion for tasks whose OBJECT affinity
+  /// names `obj_addr` (the raw `Affinity::object_obj` value). A promoted
+  /// task is placed as if the program had written TASK+OBJECT affinity —
+  /// `task_obj` is rewritten to the object — so the whole promoted set
+  /// queues on one server and runs back-to-back. With no promotions
+  /// registered, place() takes one relaxed atomic load over the baseline.
+  void set_task_promotion(std::uint64_t obj_addr, bool on);
+
+  /// Apply `fn` to the live policy. Policy flags are read without locks on
+  /// the scheduling fast paths, so this is only safe when no concurrent
+  /// place/acquire runs — the single-threaded simulation engine between
+  /// task dispatches. The adaptive runtime is sim-only for exactly this
+  /// reason. A change of `Policy::balancer` rebuilds the per-level balancer
+  /// instances (the epoch-boundary policy switch under --adapt).
+  void adapt_policy(const std::function<void(Policy&)>& fn);
+
+  // --- Balancer layer -------------------------------------------------------
+
+  /// Install the Reserve balancer's heat source (typically the locality
+  /// profiler). A no-op under other balancer kinds, but the source is
+  /// remembered so an adaptive switch to Reserve picks it up.
+  void set_hotness_source(HotnessFn fn);
+
+  /// The topology levels balancers are instantiated over (machine root
+  /// first, then clusters in id order).
+  [[nodiscard]] const std::vector<topo::TopoLevel>& levels() const noexcept {
+    return levels_;
+  }
+
+  /// The balancer serving `level` (index into levels()).
+  [[nodiscard]] const Balancer& balancer_at(std::size_t level) const {
+    return *balancers_.at(level);
+  }
+
+ private:
+  /// One server's statistics shard; updated with relaxed atomics by whichever
+  /// thread performs the operation, summed by stats().
+  struct StatShard {
+    std::atomic<std::uint64_t> spawned{0};
+    std::atomic<std::uint64_t> placed_processor{0};
+    std::atomic<std::uint64_t> placed_object{0};
+    std::atomic<std::uint64_t> placed_task{0};
+    std::atomic<std::uint64_t> placed_local{0};
+    std::atomic<std::uint64_t> placed_multi{0};
+    std::atomic<std::uint64_t> placed_round_robin{0};
+    std::atomic<std::uint64_t> pops{0};
+    std::atomic<std::uint64_t> steals{0};
+    std::atomic<std::uint64_t> set_steals{0};
+    std::atomic<std::uint64_t> tasks_stolen{0};
+    std::atomic<std::uint64_t> remote_cluster_steals{0};
+    std::atomic<std::uint64_t> failed_steal_scans{0};
+    std::atomic<std::uint64_t> resumes{0};
+    std::atomic<std::uint64_t> balance_commands{0};
+    std::atomic<std::uint64_t> balance_moves{0};
+    std::atomic<std::uint64_t> reserve_hits{0};
+  };
+
+  /// Per-server sleep gate for the idle/wakeup protocol.
+  struct alignas(64) IdleGate {
+    util::Mutex m;  ///< CV companion only; `sleeping` is its own atomic.
+    util::CondVar cv;
+    std::atomic<bool> sleeping{false};
+  };
+
+  /// Per-processor tracker of how many tasks of one affinity set ran
+  /// back-to-back (paper §5's motivation for the queue array). Updated only
+  /// by the owning processor's acquire() calls, so no synchronisation.
+  struct alignas(64) RunTrack {
+    std::uint64_t key = 0;
+    std::uint64_t len = 0;
+  };
+
+  /// Per-processor scratch buffer for balancer command generation; touched
+  /// only by the owning processor's acquire() calls (like RunTrack), so the
+  /// vector's capacity is reused scan after scan with no synchronisation.
+  struct alignas(64) CmdScratch {
+    std::vector<BalanceCommand> cmds;
+  };
+
+  /// Close the current affinity run (if any) and start one for `key`.
+  void note_run(topo::ProcId proc, std::uint64_t key);
+
+  TaskDesc* try_steal(topo::ProcId thief, topo::ProcId victim, bool& busy);
+  /// Execute one kMoveTasks command: extract up to max_tasks from the source
+  /// queue, adopt them on the thief, and return the first runnable one.
+  TaskDesc* exec_move(topo::ProcId thief, const BalanceCommand& cmd,
+                      bool& busy);
+  /// (Re)instantiate one balancer per topology level for the current
+  /// policy's kind. Single-threaded callers only (construction, and
+  /// adapt_policy under the simulation engine).
+  void rebuild_balancers();
+  /// Register the balance counters with the attached registry. Registration
+  /// is deliberately lazy and policy-gated: under the default Stealing
+  /// policy no sched.balance.* key ever appears, keeping every existing
+  /// figure's output byte-identical.
+  void register_balance_obs();
+  /// Increment the work version; under paranoid checking also advance the
+  /// monotonicity floor.
+  void bump_version();
+  /// Bump the work version and wake `server`'s worker if it sleeps, else the
+  /// next sleeping worker (any idle processor may steal the new task).
+  void signal_work(topo::ProcId server);
+  void wake_gate(IdleGate& g);
+
+  const topo::MachineConfig& machine_;
+  Policy policy_;
+  HomeFn home_;
+  std::deque<ServerQueues> queues_;  // deque: ServerQueues is not movable
+
+  // Balancer layer: one balancer per topology level, rebuilt when the
+  // policy's kind changes. `reserve_` aliases the machine-level instance
+  // under kReserve (the placement path consults it); levels_ outlives and is
+  // referenced by every balancer.
+  std::vector<topo::TopoLevel> levels_;
+  std::vector<std::unique_ptr<Balancer>> balancers_;
+  BalancerKind built_kind_ = BalancerKind::kStealing;
+  ReserveBalancer* reserve_ = nullptr;
+  HotnessFn hotness_fn_;
+  std::vector<CmdScratch> cmd_scratch_;  ///< One per processor.
+
+  util::Sharded<StatShard> stats_;   // per-server shards, summed on read
+  std::deque<IdleGate> gates_;       // deque: IdleGate is not movable
+  std::atomic<std::uint64_t> work_version_{0};
+  /// Monotonicity floor for the work version, advanced (CAS-max) after each
+  /// bump under paranoid checking; check_queues() asserts the version never
+  /// reads below it.
+  mutable std::atomic<std::uint64_t> wv_floor_{0};
+  std::atomic<std::uint64_t> rr_next_{0};  ///< Base-mode round-robin cursor.
+
+  /// TASK-promotion override table (see set_task_promotion). The atomic flag
+  /// keeps the no-overrides fast path lock-free; the set itself is read under
+  /// the mutex only when at least one promotion exists.
+  std::atomic<bool> has_overrides_{false};
+  mutable util::Mutex override_m_;
+  /// Promotion keys; mutated only by set_task_promotion and probed (find,
+  /// never iterated — lookup order cannot leak into scheduling) by place().
+  std::unordered_set<std::uint64_t> promoted_ COOL_GUARDED_BY(override_m_);
+
+  // Optional obs instrumentation (detached no-ops until attach_obs()).
+  std::vector<RunTrack> run_track_;
+  obs::Counter obs_idle_sleeps_;
+  obs::Counter obs_idle_wakeups_;
+  obs::Histogram obs_steal_scan_;   ///< Victims probed per steal scan.
+  obs::Histogram obs_run_length_;   ///< Affinity-set back-to-back run lengths.
+  obs::Counter obs_balance_commands_;  ///< Balancer commands executed.
+  obs::Counter obs_balance_moves_;     ///< Tasks relocated by move commands.
+  /// Per-level reservation counters, indexed by target cluster
+  /// ("sched.balance.reserve_hits.cluster<k>"); registered only under the
+  /// Reserve policy so default-policy output is untouched.
+  std::vector<obs::Counter> obs_reserve_hits_;
+  obs::Registry* obs_reg_ = nullptr;  ///< Remembered for lazy registration.
+};
+
+}  // namespace cool::sched
