@@ -117,7 +117,7 @@ void BM_SpawnRunEmptyTasks(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SpawnRunEmptyTasks)->Arg(256)->Arg(4096);
+BENCHMARK(BM_SpawnRunEmptyTasks)->Arg(256)->Arg(4096)->Arg(16384);
 
 void BM_MutexHandoffChain(benchmark::State& state) {
   for (auto _ : state) {

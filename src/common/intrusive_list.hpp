@@ -89,6 +89,14 @@ class IntrusiveList {
     return empty() ? nullptr : owner(head_.prev);
   }
 
+  /// The node before `item` on this list, or nullptr when `item` is the
+  /// front: `for (T* x = l.back(); x != nullptr; x = l.prev(x))` walks the
+  /// list youngest-first.
+  [[nodiscard]] T* prev(const T* item) const noexcept {
+    const ListHook* h = (item->*HookPtr).prev;
+    return h == &head_ ? nullptr : owner(const_cast<ListHook*>(h));
+  }
+
   T* pop_front() noexcept {
     if (empty()) return nullptr;
     T* item = owner(head_.next);

@@ -1,7 +1,5 @@
 #include "sched/queues.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace cool::sched {
@@ -11,15 +9,18 @@ ServerQueues::ServerQueues(std::size_t affinity_array_size)
   COOL_CHECK(affinity_array_size >= 1, "affinity array needs at least one slot");
 }
 
-void ServerQueues::on_slot_push(AffSlot& slot) {
-  if (!slot.hook.is_linked()) nonempty_.push_back(&slot);
+void ServerQueues::note_pushed_locked() {
+  ++pushed_;
+  const std::size_t n = size_.load(std::memory_order_relaxed) + 1;
+  size_.store(n, std::memory_order_relaxed);
+  if (n > max_depth_.load(std::memory_order_relaxed)) {
+    max_depth_.store(n, std::memory_order_relaxed);
+  }
 }
 
-void ServerQueues::on_slot_pop(AffSlot& slot) {
-  if (slot.tasks.empty()) {
-    slot.hook.unlink();
-    if (active_ == &slot) active_ = nullptr;
-  }
+void ServerQueues::note_popped_locked() {
+  ++popped_;
+  size_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void ServerQueues::push_locked(TaskDesc* t) {
@@ -27,16 +28,14 @@ void ServerQueues::push_locked(TaskDesc* t) {
   if (t->aff.has_task()) {
     AffSlot& slot = slots_[slot_of(t->aff_key)];
     slot.tasks.push_back(t);
-    on_slot_push(slot);
+    slot.n_pinned += set_pinned(t) ? 1 : 0;
+    slot.n_reserved += t->reserved ? 1 : 0;
+    if (!slot.hook.is_linked()) nonempty_.push_back(&slot);
   } else {
-    object_q_.push_back(t);
+    t->qpos = ++back_stamp_;
+    object_q_[class_of(t)].push_back(t);
   }
-  ++pushed_;
-  const std::size_t n = size_.load(std::memory_order_relaxed) + 1;
-  size_.store(n, std::memory_order_relaxed);
-  if (n > max_depth_.load(std::memory_order_relaxed)) {
-    max_depth_.store(n, std::memory_order_relaxed);
-  }
+  note_pushed_locked();
 }
 
 void ServerQueues::push(TaskDesc* t) {
@@ -48,41 +47,54 @@ void ServerQueues::push(TaskDesc* t) {
 void ServerQueues::push_resumed(TaskDesc* t) {
   COOL_DCHECK(t != nullptr, "null task");
   util::MutexLock g(mu_);
-  object_q_.push_front(t);
-  ++pushed_;
-  const std::size_t n = size_.load(std::memory_order_relaxed) + 1;
-  size_.store(n, std::memory_order_relaxed);
-  if (n > max_depth_.load(std::memory_order_relaxed)) {
-    max_depth_.store(n, std::memory_order_relaxed);
-  }
+  t->qpos = --front_stamp_;
+  object_q_[class_of(t)].push_front(t);
+  note_pushed_locked();
   maybe_check_locked();
+}
+
+TaskDesc* ServerQueues::take_slot_task(AffSlot& slot, bool youngest) {
+  TaskDesc* t = youngest ? slot.tasks.pop_back() : slot.tasks.pop_front();
+  COOL_DCHECK(t != nullptr, "take from an empty affinity slot");
+  slot.n_pinned -= set_pinned(t) ? 1 : 0;
+  slot.n_reserved -= t->reserved ? 1 : 0;
+  if (slot.tasks.empty()) {
+    slot.hook.unlink();
+    if (active_ == &slot) active_ = nullptr;
+  }
+  note_popped_locked();
+  return t;
+}
+
+TaskDesc* ServerQueues::object_end(unsigned classes, bool youngest) const {
+  // Stamps order the sublists as one queue, so the queue's oldest (youngest)
+  // task among these classes is the least (greatest) stamp at a list end.
+  TaskDesc* best = nullptr;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    if ((classes >> c & 1u) == 0) continue;
+    TaskDesc* t = youngest ? object_q_[c].back() : object_q_[c].front();
+    if (t == nullptr) continue;
+    if (best == nullptr || (youngest ? t->qpos > best->qpos
+                                     : t->qpos < best->qpos)) {
+      best = t;
+    }
+  }
+  return best;
+}
+
+TaskDesc* ServerQueues::take_object_task(TaskDesc* t) {
+  TaskList::erase(t);
+  note_popped_locked();
+  return t;
 }
 
 TaskDesc* ServerQueues::pop_locked() {
   // Keep draining the active affinity set: this is the back-to-back execution
-  // that gives the paper's cache reuse.
-  if (active_ != nullptr && !active_->tasks.empty()) {
-    TaskDesc* t = active_->tasks.pop_front();
-    on_slot_pop(*active_);
-    ++popped_;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return t;
-  }
-  active_ = nullptr;
-  if (AffSlot* slot = nonempty_.front()) {
-    active_ = slot;
-    TaskDesc* t = slot->tasks.pop_front();
-    on_slot_pop(*slot);
-    ++popped_;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return t;
-  }
-  if (TaskDesc* t = object_q_.pop_front()) {
-    ++popped_;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return t;
-  }
-  return nullptr;
+  // that gives the paper's cache reuse. Otherwise start on the next set.
+  if (active_ == nullptr) active_ = nonempty_.front();
+  if (active_ != nullptr) return take_slot_task(*active_, /*youngest=*/false);
+  TaskDesc* t = object_end(kAllClasses, /*youngest=*/false);
+  return t == nullptr ? nullptr : take_object_task(t);
 }
 
 TaskDesc* ServerQueues::pop() {
@@ -94,50 +106,31 @@ TaskDesc* ServerQueues::pop() {
 
 std::vector<TaskDesc*> ServerQueues::steal_set_locked(bool allow_pinned,
                                                       bool allow_reserved) {
-  // Steal the set least likely to be serviced soon: prefer anything over the
-  // active set (which the owner is draining), and skip pinned sets unless
-  // allowed.
-  auto eligible = [&](AffSlot* s) {
-    if (allow_pinned && allow_reserved) return true;
-    // Check every queued task: hash collisions can put a pinned set and an
-    // unpinned set in the same slot, and the whole slot moves on a steal.
-    for (const TaskDesc* t : s->tasks) {
-      if (!allow_pinned &&
-          (t->aff.has_processor() || t->aff.has_object())) {
-        return false;
-      }
-      if (!allow_reserved && t->reserved) return false;
-    }
-    return !s->tasks.empty();
-  };
+  // Steal the set least likely to be serviced soon: the eligible set nearest
+  // the back of the non-empty list, preferring anything over the active set
+  // (which the owner is draining). A slot's counts cover every queued task,
+  // so a hash collision of a pinned and an unpinned set in one slot keeps
+  // the whole slot (which moves as one on a steal) ineligible.
   AffSlot* victim = nullptr;
-  AffSlot* active_fallback = nullptr;
-  for (AffSlot* s : nonempty_) {
-    if (!eligible(s)) continue;
-    if (s == active_) {
-      active_fallback = s;
-    } else {
-      victim = s;  // keep the last eligible non-active set
+  bool active_eligible = false;
+  for (AffSlot* s = nonempty_.back(); s != nullptr; s = nonempty_.prev(s)) {
+    ++scan_steps_;
+    if (!allow_pinned && s->n_pinned != 0) continue;
+    if (!allow_reserved && s->n_reserved != 0) continue;
+    if (s != active_) {
+      victim = s;
+      break;
     }
+    active_eligible = true;
   }
-  if (victim == nullptr) victim = active_fallback;
+  if (victim == nullptr && active_eligible) victim = active_;
   if (victim == nullptr) return {};
   std::vector<TaskDesc*> set;
-  while (TaskDesc* t = victim->tasks.pop_front()) {
+  while (!victim->tasks.empty()) {
+    TaskDesc* t = take_slot_task(*victim, /*youngest=*/false);
     t->stolen = true;
     set.push_back(t);
-    ++popped_;
-    size_.fetch_sub(1, std::memory_order_relaxed);
   }
-  on_slot_pop(*victim);
-  return set;
-}
-
-std::vector<TaskDesc*> ServerQueues::steal_set(bool allow_pinned,
-                                               bool allow_reserved) {
-  util::MutexLock g(mu_);
-  std::vector<TaskDesc*> set = steal_set_locked(allow_pinned, allow_reserved);
-  maybe_check_locked();
   return set;
 }
 
@@ -152,33 +145,19 @@ TrySteal ServerQueues::try_steal_set(std::vector<TaskDesc*>& out,
 
 TaskDesc* ServerQueues::steal_object_task_locked(bool allow_pinned,
                                                  bool allow_reserved) {
-  TaskDesc* t = nullptr;
-  if (allow_pinned && allow_reserved) {
-    t = object_q_.pop_back();
-  } else {
-    // Scan for the youngest eligible task: hint-free unless pins are allowed,
-    // unreserved unless reservations are up for grabs.
-    for (TaskDesc* cand : object_q_) {
-      if (!allow_pinned && !cand->aff.is_none()) continue;
-      if (!allow_reserved && cand->reserved) continue;
-      t = cand;
-    }
-    if (t != nullptr) TaskList::erase(t);
+  // The youngest eligible task: hint-free unless pins are allowed,
+  // unreserved unless reservations are up for grabs.
+  unsigned classes = 0;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    if (!allow_pinned && (c & kPinnedClass) != 0) continue;
+    if (!allow_reserved && (c & kReservedClass) != 0) continue;
+    classes |= 1u << c;
+    ++scan_steps_;
   }
-  if (t != nullptr) {
-    t->stolen = true;
-    ++popped_;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  return t;
-}
-
-TaskDesc* ServerQueues::steal_object_task(bool allow_pinned,
-                                          bool allow_reserved) {
-  util::MutexLock g(mu_);
-  TaskDesc* t = steal_object_task_locked(allow_pinned, allow_reserved);
-  maybe_check_locked();
-  return t;
+  TaskDesc* t = object_end(classes, /*youngest=*/true);
+  if (t == nullptr) return nullptr;
+  t->stolen = true;
+  return take_object_task(t);
 }
 
 TrySteal ServerQueues::try_steal_object_task(TaskDesc*& out, bool allow_pinned,
@@ -195,39 +174,22 @@ TrySteal ServerQueues::try_move_tasks(std::vector<TaskDesc*>& out,
   if (!mu_.try_lock()) return TrySteal::kBusy;
   util::MutexLock l(mu_, util::kAdoptLock);
   out.clear();
-  auto take = [&](TaskDesc* t) {
-    t->moved = true;
-    out.push_back(t);
-    ++popped_;
-    size_.fetch_sub(1, std::memory_order_relaxed);
-  };
   // Youngest object-queue tasks first (least likely to be popped soon), then
   // whole affinity slots from the back so moved sets stay contiguous on the
   // destination.
   while (out.size() < max_tasks) {
-    TaskDesc* t = object_q_.pop_back();
+    TaskDesc* t = object_end(kAllClasses, /*youngest=*/true);
     if (t == nullptr) break;
-    take(t);
+    out.push_back(take_object_task(t));
   }
   while (out.size() < max_tasks) {
     AffSlot* s = nonempty_.front();
     if (s == nullptr) break;
-    TaskDesc* t = s->tasks.pop_back();
-    take(t);
-    on_slot_pop(*s);
+    out.push_back(take_slot_task(*s, /*youngest=*/true));
   }
+  for (TaskDesc* t : out) t->moved = true;
   maybe_check_locked();
   return out.empty() ? TrySteal::kEmpty : TrySteal::kGot;
-}
-
-void ServerQueues::adopt(const std::vector<TaskDesc*>& set,
-                         topo::ProcId new_server) {
-  util::MutexLock g(mu_);
-  for (TaskDesc* t : set) {
-    t->server = new_server;
-    push_locked(t);
-  }
-  maybe_check_locked();
 }
 
 TaskDesc* ServerQueues::adopt_and_pop(const std::vector<TaskDesc*>& set,
@@ -249,7 +211,14 @@ std::size_t ServerQueues::n_nonempty_affinity_queues() const {
 
 std::size_t ServerQueues::object_queue_size() const {
   util::MutexLock g(mu_);
-  return object_q_.size();
+  std::size_t n = 0;
+  for (const TaskList& l : object_q_) n += l.size();
+  return n;
+}
+
+std::uint64_t ServerQueues::scan_steps() const {
+  util::MutexLock g(mu_);
+  return scan_steps_;
 }
 
 // --- Invariant checking ------------------------------------------------------
@@ -263,10 +232,11 @@ void ServerQueues::check_locked() const {
     COOL_CHECK(s.hook.is_linked() == (n != 0),
                "invariant: slot on the non-empty list iff it holds tasks");
     if (&s == active_) active_in_range = true;
-    if (n == 0) continue;
-    ++nonempty_count;
+    nonempty_count += n != 0 ? 1 : 0;
     in_slots += n;
     const auto idx = static_cast<std::size_t>(&s - slots_.data());
+    std::size_t pinned = 0;
+    std::size_t reserved = 0;
     for (const TaskDesc* t : s.tasks) {
       COOL_CHECK(t->aff.has_task(),
                  "invariant: affinity-slot task without TASK affinity");
@@ -274,7 +244,12 @@ void ServerQueues::check_locked() const {
                  "invariant: task hashed into the wrong affinity slot");
       COOL_CHECK(owner_ == kNoOwner || t->server == owner_,
                  "invariant: queued task's server is not the queue owner");
+      pinned += set_pinned(t) ? 1 : 0;
+      reserved += t->reserved ? 1 : 0;
     }
+    COOL_CHECK(s.n_pinned == pinned && s.n_reserved == reserved,
+               "invariant: slot pinned/reserved counts out of sync with its "
+               "tasks");
   }
   COOL_CHECK(active_in_range,
              "invariant: active set pointer outside the slot array");
@@ -285,11 +260,21 @@ void ServerQueues::check_locked() const {
   for (const AffSlot* s : nonempty_) {
     COOL_CHECK(!s->tasks.empty(), "invariant: empty slot on non-empty list");
   }
-  for (const TaskDesc* t : object_q_) {
-    COOL_CHECK(owner_ == kNoOwner || t->server == owner_,
-               "invariant: queued task's server is not the queue owner");
+  std::size_t in_object_q = 0;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    std::int64_t prev = front_stamp_ - 1;
+    for (const TaskDesc* t : object_q_[c]) {
+      COOL_CHECK(class_of(t) == c,
+                 "invariant: object-queue task in the wrong class sublist");
+      COOL_CHECK(t->qpos > prev && t->qpos <= back_stamp_,
+                 "invariant: object-queue stamps out of order");
+      COOL_CHECK(owner_ == kNoOwner || t->server == owner_,
+                 "invariant: queued task's server is not the queue owner");
+      prev = t->qpos;
+      ++in_object_q;
+    }
   }
-  const std::size_t total = in_slots + object_q_.size();
+  const std::size_t total = in_slots + in_object_q;
   COOL_CHECK(size_.load(std::memory_order_relaxed) == total,
              "invariant: size counter out of sync with queue contents");
   COOL_CHECK(pushed_ - popped_ == total,
@@ -309,7 +294,9 @@ void ServerQueues::for_each_task(
   for (const AffSlot& s : slots_) {
     for (const TaskDesc* t : s.tasks) fn(t);
   }
-  for (const TaskDesc* t : object_q_) fn(t);
+  for (const TaskList& l : object_q_) {
+    for (const TaskDesc* t : l) fn(t);
+  }
 }
 
 std::uint64_t ServerQueues::pushed() const {

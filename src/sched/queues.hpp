@@ -10,6 +10,20 @@
 //   enqueue/dequeue, and a suitably large array minimises collisions of
 //   distinct affinity sets on one queue.
 //
+// Every operation, steals included, is O(1) in the queue depth. The object
+// queue is kept as four intrusive sublists, one per steal-eligibility class
+// (hint-free or pinned by any hint, times reserved or not), and every task
+// entering it is stamped with its position: `push` takes the next stamp at
+// the back, `push_resumed` the next one at the front. Stamps order the
+// sublists exactly as one list would be ordered, so the owner's pop takes the
+// oldest front, a balancer move the youngest back, and a thief the youngest
+// back among the classes its flags admit — at most four list ends compared.
+// Each affinity slot counts its pinned and reserved tasks, so a set steal
+// judges a slot without walking it and walks the non-empty list from the
+// back only until the first eligible slot the owner is not draining.
+// `scan_steps()` counts the list ends and slots steals look at: a
+// deterministic work counter the complexity tests hold flat in the depth.
+//
 // Concurrency: each ServerQueues carries its own mutex and every public
 // operation is internally synchronised, so per-server queues run concurrently
 // with no scheduler-wide lock. The owner's push/pop take the lock
@@ -19,6 +33,7 @@
 // without the lock, so victim scans stay wait-free.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -66,29 +81,25 @@ class ServerQueues {
   TaskDesc* pop();
 
   /// Steal an entire task-affinity set (paper §4.2: "tasks scheduled with
-  /// task-affinity can be stolen as a set"). Takes the least-recently-touched
-  /// non-empty affinity queue. With `allow_pinned == false`, sets whose tasks
-  /// also carry PROCESSOR or OBJECT placement are skipped — the programmer
-  /// pinned them deliberately (e.g. LocusRoute's per-region processor hints).
-  /// With `allow_reserved == false`, sets holding Reserve-balancer
-  /// reservations are skipped too (cross-cluster thieves must not undo a
-  /// reservation; same-cluster thieves pass true). Empty result means no set
-  /// to steal.
-  std::vector<TaskDesc*> steal_set(bool allow_pinned = true,
-                                   bool allow_reserved = true);
-
-  /// Steal a single task from the back of the object-affinity queue.
-  /// With `allow_pinned == false`, tasks carrying OBJECT or PROCESSOR
-  /// affinity are skipped ("tasks scheduled with object-affinity should
-  /// preferably not be stolen", paper §4.2) and only hint-free tasks are
-  /// taken; with `allow_reserved == false`, Reserve-balancer reservations
-  /// are skipped. Returns nullptr if nothing stealable.
-  TaskDesc* steal_object_task(bool allow_pinned = true,
-                              bool allow_reserved = true);
-
-  /// Non-blocking variants for thieves: `try_lock` the queue and steal, or
-  /// report kBusy without waiting so a steal scan never convoys behind the
-  /// owner. On kGot the stolen set/task is written to `out`.
+  /// task-affinity can be stolen as a set"), or a single task from the back
+  /// of the object-affinity queue. Thieves must not convoy behind the owner,
+  /// so both `try_lock` the queue and report kBusy without waiting; on kGot
+  /// the stolen set/task is written to `out`.
+  ///
+  /// A set steal takes the eligible set nearest the back of the non-empty
+  /// list, the set the owner is draining only when no other is eligible.
+  /// With `allow_pinned == false`, sets whose tasks also carry PROCESSOR or
+  /// OBJECT placement are skipped — the programmer pinned them deliberately
+  /// (e.g. LocusRoute's per-region processor hints). With
+  /// `allow_reserved == false`, sets holding Reserve-balancer reservations
+  /// are skipped too (cross-cluster thieves must not undo a reservation;
+  /// same-cluster thieves pass true).
+  ///
+  /// A task steal takes the youngest eligible object-queue task. With
+  /// `allow_pinned == false`, tasks carrying any hint are skipped ("tasks
+  /// scheduled with object-affinity should preferably not be stolen", paper
+  /// §4.2) and only hint-free tasks are taken; with `allow_reserved ==
+  /// false`, Reserve-balancer reservations are skipped.
   TrySteal try_steal_set(std::vector<TaskDesc*>& out, bool allow_pinned = true,
                          bool allow_reserved = true);
   TrySteal try_steal_object_task(TaskDesc*& out, bool allow_pinned = true,
@@ -103,14 +114,11 @@ class ServerQueues {
   TrySteal try_move_tasks(std::vector<TaskDesc*>& out,
                           std::uint32_t max_tasks);
 
-  /// Adopt tasks stolen as a set: they keep their affinity key and are queued
-  /// back-to-back on this server.
-  void adopt(const std::vector<TaskDesc*>& set, topo::ProcId new_server);
-
-  /// Adopt a stolen set and immediately dequeue the first runnable task, all
-  /// under one lock hold, so a concurrent thief cannot empty the queue
-  /// between the adopt and the pop. Never returns nullptr for a non-empty
-  /// set. This is the only whole-set-steal path that touches two servers'
+  /// Adopt tasks stolen as a set (they keep their affinity key and are
+  /// queued back-to-back on this server) and immediately dequeue the first
+  /// runnable task, all under one lock hold, so a concurrent thief cannot
+  /// empty the queue between the adopt and the pop. Never returns nullptr
+  /// for a non-empty set. This is the only whole-set-steal path that touches two servers'
   /// queues, and it takes the two locks strictly one at a time (victim lock
   /// released inside try_steal_set before this acquires the thief's own
   /// lock), so no lock order between servers is ever needed.
@@ -132,6 +140,10 @@ class ServerQueues {
   [[nodiscard]] std::size_t max_depth() const noexcept {
     return max_depth_.load(std::memory_order_relaxed);
   }
+  /// Lifetime count of the object-queue list ends and affinity slots that
+  /// steals have looked at (deterministic work counter: a steal adds at most
+  /// affinity_array_size() + 4, however deep the queue).
+  [[nodiscard]] std::uint64_t scan_steps() const;
 
   // --- Invariant checking (analysis/invariants.hpp drives these) ------------
 
@@ -145,14 +157,16 @@ class ServerQueues {
 
   /// Validate every structural invariant (throws util::Error on violation):
   /// the non-empty list covers exactly the slots holding tasks, slot tasks
-  /// hash to their slot and carry TASK affinity, the active pointer is sane,
-  /// the size counter and push/pop ledger balance the actual contents, and
-  /// every queued task names this server. Safe to call concurrently with
+  /// hash to their slot and carry TASK affinity, each slot's pinned and
+  /// reserved counts match its tasks, the active pointer is sane, every
+  /// object-queue task sits in its class's sublist in strictly increasing
+  /// stamp order, the size counter and push/pop ledger balance the actual
+  /// contents, and every queued task names this server. Safe to call concurrently with
   /// queue operations (takes the queue lock).
   void validate() const;
 
   /// Visit every queued task under the queue lock (affinity slots in index
-  /// order, then the object queue).
+  /// order, then the object-queue sublists in class order).
   void for_each_task(const std::function<void(const TaskDesc*)>& fn) const;
 
   /// Lifetime enqueue/dequeue ledger (pushed - popped == size).
@@ -163,11 +177,39 @@ class ServerQueues {
   struct AffSlot {
     TaskList tasks;
     util::ListHook hook;  ///< Links this slot into the non-empty list.
+    /// Queued tasks that also carry PROCESSOR or OBJECT placement, and
+    /// queued Reserve-balancer reservations: a set steal judges the slot
+    /// from these counts alone.
+    std::size_t n_pinned = 0;
+    std::size_t n_reserved = 0;
   };
 
-  void on_slot_push(AffSlot& slot) COOL_REQUIRES(mu_);
-  void on_slot_pop(AffSlot& slot) COOL_REQUIRES(mu_);
+  /// Object-queue eligibility class: bit 0 set when the task carries any
+  /// hint (a thief without allow_pinned skips it), bit 1 when it is reserved.
+  static constexpr std::size_t kPinnedClass = 1;
+  static constexpr std::size_t kReservedClass = 2;
+  static constexpr std::size_t kClasses = 4;
+  static constexpr unsigned kAllClasses = (1u << kClasses) - 1;
+  static std::size_t class_of(const TaskDesc* t) noexcept {
+    return (t->aff.is_none() ? 0 : kPinnedClass) |
+           (t->reserved ? kReservedClass : 0);
+  }
+  /// Pinned for a set steal: placement beyond the TASK affinity every slot
+  /// task has.
+  static bool set_pinned(const TaskDesc* t) noexcept {
+    return t->aff.has_processor() || t->aff.has_object();
+  }
+
+  void note_pushed_locked() COOL_REQUIRES(mu_);
+  void note_popped_locked() COOL_REQUIRES(mu_);
   void push_locked(TaskDesc* t) COOL_REQUIRES(mu_);
+  /// Dequeue the front (oldest) or back (youngest) task of a non-empty slot.
+  TaskDesc* take_slot_task(AffSlot& slot, bool youngest) COOL_REQUIRES(mu_);
+  /// Oldest (`youngest == false`) or youngest task across the object-queue
+  /// classes set in `classes` (a bit mask), or nullptr. Does not dequeue.
+  TaskDesc* object_end(unsigned classes, bool youngest) const
+      COOL_REQUIRES(mu_);
+  TaskDesc* take_object_task(TaskDesc* t) COOL_REQUIRES(mu_);
   TaskDesc* pop_locked() COOL_REQUIRES(mu_);
   std::vector<TaskDesc*> steal_set_locked(bool allow_pinned,
                                           bool allow_reserved)
@@ -182,7 +224,12 @@ class ServerQueues {
   }
 
   mutable util::Mutex mu_;  ///< Guards every queue structure below.
-  TaskList object_q_ COOL_GUARDED_BY(mu_);
+  /// The object queue, one sublist per eligibility class (see class_of).
+  std::array<TaskList, kClasses> object_q_ COOL_GUARDED_BY(mu_);
+  /// Stamps handed out so far at the object queue's front (counting down
+  /// from 0) and back (counting up): every queued stamp lies in between.
+  std::int64_t front_stamp_ COOL_GUARDED_BY(mu_) = 0;
+  std::int64_t back_stamp_ COOL_GUARDED_BY(mu_) = 0;
   /// Sized once at construction and never resized, so slot_of() and
   /// affinity_array_size() may read slots_.size() lock-free; the *elements*
   /// are queue state and every helper touching them carries REQUIRES(mu_).
@@ -194,6 +241,7 @@ class ServerQueues {
   /// Lifetime ledger, maintained under mu_: conservation check fodder.
   std::uint64_t pushed_ COOL_GUARDED_BY(mu_) = 0;
   std::uint64_t popped_ COOL_GUARDED_BY(mu_) = 0;
+  std::uint64_t scan_steps_ COOL_GUARDED_BY(mu_) = 0;
   /// Task count, maintained under mu_ but readable without it so victim
   /// scans and emptiness checks never touch the lock.
   std::atomic<std::size_t> size_{0};

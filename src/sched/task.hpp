@@ -10,7 +10,8 @@
 // ServerQueues enqueue/dequeue (or a wait-list push/pop in core/sync.hpp),
 // whose mutex publishes every prior write of the descriptor to the next
 // owner. Concretely: the placer writes `aff`/`aff_key`/`server`/`stolen`/
-// `reserved` before push and never afterwards; a thief writes `stolen` (a
+// `reserved` before push and never afterwards; the queue stamps `qpos` under
+// its own lock on enqueue; a thief writes `stolen` (a
 // balancer move writes `moved`) and `server` under the victim's (resp. its
 // own) queue lock; the worker that pops reads them freely until it
 // re-enqueues or completes the task. No field needs to be atomic under this
@@ -38,6 +39,9 @@ struct TaskDesc {
   std::uint64_t ready_time = 0;  ///< Simulated time the task became runnable.
   topo::ProcId server = 0;       ///< Server queue the task was placed on.
   std::uint64_t aff_key = 0;     ///< Task-affinity set key (0 = no set).
+  std::int64_t qpos = 0;         ///< Position stamp in its server's object
+                                 ///< queue (ServerQueues-private: written
+                                 ///< under the queue lock on enqueue).
   std::uint32_t req = kNoRequest;  ///< Request id for request tracing
                                    ///< (written by the spawner before push,
                                    ///< like aff/aff_key; kNoRequest for every

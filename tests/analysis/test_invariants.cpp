@@ -64,7 +64,8 @@ TEST(Invariants, LedgerCountsStolenTasks) {
     tasks.push_back(make_task(i + 1, sched::Affinity::task(&obj)));
   }
   for (auto& t : tasks) q.push(&t);
-  const std::vector<sched::TaskDesc*> set = q.steal_set();
+  std::vector<sched::TaskDesc*> set;
+  ASSERT_EQ(q.try_steal_set(set), sched::TrySteal::kGot);
   EXPECT_EQ(set.size(), 4u);
   EXPECT_EQ(q.popped(), 4u);
   q.validate();

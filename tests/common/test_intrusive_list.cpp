@@ -155,5 +155,24 @@ TEST(IntrusiveList, LargeStress) {
   EXPECT_EQ(l.size(), expect);
 }
 
+TEST(IntrusiveList, PrevWalksBackToFront) {
+  List l;
+  Node a, b, c;
+  a.value = 1;
+  b.value = 2;
+  c.value = 3;
+  l.push_back(&a);
+  l.push_back(&b);
+  l.push_back(&c);
+  std::vector<int> seen;
+  for (const Node* n = l.back(); n != nullptr; n = l.prev(n)) {
+    seen.push_back(n->value);
+  }
+  EXPECT_EQ(seen, (std::vector<int>{3, 2, 1}));
+  List::erase(&b);
+  EXPECT_EQ(l.prev(&c), &a);
+  EXPECT_EQ(l.prev(&a), nullptr);
+}
+
 }  // namespace
 }  // namespace cool::util

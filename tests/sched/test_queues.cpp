@@ -19,8 +19,12 @@ TEST(ServerQueues, EmptyPopsNull) {
   ServerQueues q(8);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.pop(), nullptr);
-  EXPECT_EQ(q.steal_object_task(), nullptr);
-  EXPECT_TRUE(q.steal_set().empty());
+  TaskDesc* t = nullptr;
+  EXPECT_EQ(q.try_steal_object_task(t), TrySteal::kEmpty);
+  EXPECT_EQ(t, nullptr);
+  std::vector<TaskDesc*> set;
+  EXPECT_EQ(q.try_steal_set(set), TrySteal::kEmpty);
+  EXPECT_TRUE(set.empty());
 }
 
 TEST(ServerQueues, ObjectQueueFifo) {
@@ -97,7 +101,8 @@ TEST(ServerQueues, StealSetTakesWholeSet) {
   ServerQueues v(64);
   for (auto& t : tasks) v.push(&t);
 
-  const auto set = v.steal_set();
+  std::vector<TaskDesc*> set;
+  ASSERT_EQ(v.try_steal_set(set), TrySteal::kGot);
   ASSERT_EQ(set.size(), 2u);
   EXPECT_EQ(set[0]->aff_key, set[1]->aff_key);
   EXPECT_TRUE(set[0]->stolen);
@@ -119,7 +124,8 @@ TEST(ServerQueues, StealSetAvoidsActiveSet) {
   TaskDesc* first = q.pop();
   ASSERT_EQ(first, &a1);
   // Thief should get set B, not the remainder of A.
-  const auto set = q.steal_set();
+  std::vector<TaskDesc*> set;
+  ASSERT_EQ(q.try_steal_set(set), TrySteal::kGot);
   ASSERT_EQ(set.size(), 1u);
   EXPECT_EQ(set[0], &b1);
   // Owner continues with a2 back-to-back.
@@ -131,7 +137,8 @@ TEST(ServerQueues, StealObjectTaskFromBack) {
   TaskDesc a = make_task(1), b = make_task(2);
   q.push(&a);
   q.push(&b);
-  TaskDesc* t = q.steal_object_task();
+  TaskDesc* t = nullptr;
+  ASSERT_EQ(q.try_steal_object_task(t), TrySteal::kGot);
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->seq, 2u);  // Steal the youngest; owner keeps the oldest.
   EXPECT_TRUE(t->stolen);
@@ -148,12 +155,14 @@ TEST(ServerQueues, AdoptKeepsSetTogether) {
                               Affinity::task(&obj)));
   }
   for (auto& t : tasks) victim.push(&t);
-  const auto set = victim.steal_set();
-  thief.adopt(set, 5);
-  EXPECT_EQ(thief.size(), 3u);
+  std::vector<TaskDesc*> set;
+  ASSERT_EQ(victim.try_steal_set(set), TrySteal::kGot);
+  // The adopting pop takes the set's first task; the rest stay queued.
+  TaskDesc* first = thief.adopt_and_pop(set, 5);
+  EXPECT_EQ(thief.size() + 1, 3u);
   for (auto* t : set) EXPECT_EQ(t->server, 5u);
   // FIFO order preserved inside the set.
-  EXPECT_EQ(thief.pop()->seq, 0u);
+  EXPECT_EQ(first->seq, 0u);
   EXPECT_EQ(thief.pop()->seq, 1u);
   EXPECT_EQ(thief.pop()->seq, 2u);
 }
