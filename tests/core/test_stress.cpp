@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -99,12 +101,18 @@ TaskFn root(Shared* s) {
   co_await c.wait(s->group);
 }
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// names each case after that print. `nodes` is 64-bit so that the struct has
+// no padding bytes, whose indeterminate contents would make the case names
+// change from one build (or one run) to the next.
 struct Params {
-  int nodes;
+  std::int64_t nodes;
   std::uint64_t seed;
   std::uint32_t procs;
   SystemConfig::Mode mode;
 };
+static_assert(std::has_unique_object_representations_v<Params>,
+              "Params must have no padding bytes");
 
 class DagStress : public ::testing::TestWithParam<Params> {};
 
@@ -116,7 +124,7 @@ TEST_P(DagStress, EveryNodeRunsExactlyOnce) {
   Runtime rt(sc);
 
   Shared s;
-  s.g = make_graph(prm.nodes, prm.seed);
+  s.g = make_graph(static_cast<int>(prm.nodes), prm.seed);
   s.slot.assign(static_cast<std::size_t>(prm.nodes), 0);
   s.blob = rt.alloc_array<double>(64 * 1024, 0);
 
@@ -125,7 +133,7 @@ TEST_P(DagStress, EveryNodeRunsExactlyOnce) {
   long expect = 0;
   for (long w : s.g.weight) expect += w;
   EXPECT_EQ(s.total, expect);
-  for (int i = 0; i < prm.nodes; ++i) {
+  for (std::int64_t i = 0; i < prm.nodes; ++i) {
     EXPECT_EQ(s.slot[static_cast<std::size_t>(i)], 1) << "node " << i;
   }
   EXPECT_EQ(rt.tasks_completed(), static_cast<std::uint64_t>(prm.nodes) + 1);
