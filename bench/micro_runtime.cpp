@@ -99,6 +99,29 @@ void BM_MemSystemAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_MemSystemAccess);
 
+// Reads sweeping a 128 KiB footprint on one processor: twice the
+// direct-mapped L1, half the L2, so after the warm-up sweep every line
+// misses L1 and hits L2 (the Barnes-Hut mix is 72 % L2 hits). Exercises the
+// read filter's L1 refill.
+void BM_MemSystemL2Hit(benchmark::State& state) {
+  const topo::MachineConfig machine = topo::MachineConfig::dash();
+  mem::MemorySystem ms(machine);
+  constexpr std::uint64_t kFootprint = 128 * 1024;
+  ms.bind_range(0, kFootprint, 0);
+  for (std::uint64_t a = 0; a < kFootprint; a += machine.line_bytes) {
+    ms.access(0, a, 8, false, 0);
+  }
+  std::uint64_t addr = 0;
+  std::uint64_t now = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ms.access(0, addr, 8, false, now));
+    addr = (addr + machine.line_bytes) & (kFootprint - 1);
+    now += 10;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemSystemL2Hit);
+
 void BM_SpawnRunEmptyTasks(benchmark::State& state) {
   // Full engine path: spawn N trivial tasks and drive them to completion.
   const auto n = static_cast<int>(state.range(0));

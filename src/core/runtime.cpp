@@ -8,11 +8,14 @@
 
 #include "common/bitops.hpp"
 #include "core/sync.hpp"
+#include "memsim/pagemap.hpp"
 
 namespace cool {
 
 Runtime::Runtime(SystemConfig cfg) : cfg_(cfg) {
   cfg_.machine.validate();
+  COOL_CHECK(cfg_.arena_bytes / cfg_.machine.page_bytes <= mem::PageMap::kMaxPages,
+             "arena_bytes exceeds the address space the page map can cover");
   // The Reserve balancer needs profiled heat; --adapt under the simulation
   // engine constructs the profiler even without --profile.
   const bool profile_available =

@@ -19,7 +19,7 @@ ThreadEngine::ThreadEngine(const topo::MachineConfig& machine,
                // Placement runs outside any scheduler lock, so the resolver
                // guards the page map itself (home_of first-touch mutates it).
                util::MutexLock g(big_);
-               return pages_.home_of(addr, toucher);
+               return pages_.home_of(tr(addr), toucher);
              }),
       disp_(machine_.n_procs, Disposition::kNone),
       // cool-lint: allow(determinism): kThreads trace timebase is wall-clock
@@ -45,19 +45,19 @@ ThreadEngine::~ThreadEngine() {
 std::uint64_t ThreadEngine::migrate(Ctx&, std::uint64_t addr,
                                     std::uint64_t bytes, topo::ProcId target) {
   util::MutexLock g(big_);
-  pages_.bind_range(addr, bytes, target);
+  pages_.bind_range(tr(addr), bytes, target);
   return 0;
 }
 
 topo::ProcId ThreadEngine::home(std::uint64_t addr, topo::ProcId toucher) {
   util::MutexLock g(big_);
-  return pages_.home_of(addr, toucher);
+  return pages_.home_of(tr(addr), toucher);
 }
 
 void ThreadEngine::bind_range(std::uint64_t addr, std::uint64_t bytes,
                               topo::ProcId home_proc) {
   util::MutexLock g(big_);
-  pages_.bind_range(addr, bytes, home_proc);
+  pages_.bind_range(tr(addr), bytes, home_proc);
 }
 
 void ThreadEngine::spawn_record(TaskRecord* rec, Ctx* spawner) {

@@ -100,6 +100,11 @@ class ThreadEngine final : public Engine {
  private:
   enum class Disposition : std::uint8_t { kNone, kCompleted, kBlocked, kYielded };
 
+  /// Arena-relative address, as the page map (like the simulator's) is keyed.
+  [[nodiscard]] std::uint64_t tr(std::uint64_t addr) const noexcept {
+    return addr - addr_base_;
+  }
+
   void worker_loop(topo::ProcId id);
   void execute(topo::ProcId id, TaskRecord* rec);
 

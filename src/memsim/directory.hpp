@@ -48,13 +48,28 @@ class Directory {
     entry(line).sharers |= (1ull << p);
   }
 
-  void remove_sharer(LineAddr line, topo::ProcId p) {
-    auto it = map_.find(line);
-    if (it == map_.end()) return;
-    it->second.sharers &= ~(1ull << p);
-    if (it->second.dirty_owner == p) it->second.dirty_owner = kNoOwner;
-    if (it->second.sharers == 0) map_.erase(it);
+  /// Mutable state for a cached line, or nullptr if it is uncached. The
+  /// pointer (like entry()'s reference) stays valid until that line's entry
+  /// is erased; inserting or erasing other lines does not move it.
+  LineState* find(LineAddr line) {
+    const auto it = map_.find(line);
+    return it == map_.end() ? nullptr : &it->second;
   }
+
+  /// Drop `p` from the line's sharers (erasing the entry when none remain).
+  /// Returns true if `p` held the line dirty.
+  bool remove_sharer(LineAddr line, topo::ProcId p) {
+    auto it = map_.find(line);
+    if (it == map_.end()) return false;
+    it->second.sharers &= ~(1ull << p);
+    const bool was_owner = it->second.dirty_owner == p;
+    if (was_owner) it->second.dirty_owner = kNoOwner;
+    if (it->second.sharers == 0) map_.erase(it);
+    return was_owner;
+  }
+
+  /// Forget the line entirely (every sharer has been invalidated).
+  void erase(LineAddr line) { map_.erase(line); }
 
   void set_dirty(LineAddr line, topo::ProcId owner) {
     LineState& s = entry(line);

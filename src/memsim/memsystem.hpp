@@ -38,6 +38,12 @@ class MemorySystem {
 
   /// Simulate `proc` referencing [addr, addr+bytes) at time `now`
   /// (line-by-line). Returns the total stall cycles charged.
+  ///
+  /// Reads with no observer attached first pass a filter: while each line
+  /// hits L1, or misses L1 and hits L2, it does exactly what access_line()
+  /// would (refresh L2 or refill L1) and bumps only the read, service and
+  /// latency counters. The first line that misses both, and every line after
+  /// it, go through access_line() at `now` plus the cycles charged so far.
   std::uint64_t access(topo::ProcId proc, std::uint64_t addr,
                        std::uint64_t bytes, bool is_write, std::uint64_t now);
 
@@ -94,13 +100,6 @@ class MemorySystem {
     std::erase(observers_, obs);
   }
 
-  /// Legacy single-observer hook: detach everything, then attach `obs`
-  /// (nullptr = detach all).
-  void set_observer(AccessObserver* obs) {
-    observers_.clear();
-    add_observer(obs);
-  }
-
  private:
   std::uint64_t access_line(topo::ProcId proc, LineAddr line,
                             std::uint64_t addr, std::uint64_t lo,
@@ -109,17 +108,21 @@ class MemorySystem {
   /// Handle an L2 victim: maintain inclusion and directory state.
   void evict_line(topo::ProcId proc, LineAddr victim);
   /// Invalidate every cached copy of `line` except at `keeper` (pass kNoOwner
-  /// to invalidate everywhere). Returns the number of copies killed and
-  /// whether any was in a different cluster than `requester`.
+  /// to invalidate everywhere) and drop them from `st`, the line's directory
+  /// entry, which the caller erases if it wants to. Returns the number of
+  /// copies killed and whether any was in a different cluster than
+  /// `requester`.
   struct InvalResult {
     int killed = 0;
     bool any_remote = false;
   };
-  InvalResult invalidate_sharers(LineAddr line, topo::ProcId requester,
-                                 topo::ProcId keeper,
+  InvalResult invalidate_sharers(LineState& st, LineAddr line,
+                                 topo::ProcId requester, topo::ProcId keeper,
                                  bool count_as_sharing = true);
 
   topo::MachineConfig machine_;
+  unsigned line_shift_;                  ///< log2(line_bytes).
+  std::vector<topo::ClusterId> cluster_; ///< cluster_of(p), without a divide.
   std::vector<Cache> l1_;
   std::vector<Cache> l2_;
   Directory dir_;

@@ -1,8 +1,25 @@
 #include "memsim/pagemap.hpp"
 
-#include "common/error.hpp"
+#include <algorithm>
+#include <bit>
+#include <string>
 
 namespace cool::mem {
+
+void PageMap::cover(PageAddr page) {
+  if (page < home_.size()) return;
+  COOL_CHECK(page < kMaxPages,
+             "page map: page " + std::to_string(page) +
+                 " (simulated address " +
+                 std::to_string(page * machine_.page_bytes) +
+                 ") is beyond the dense map's cap of " +
+                 std::to_string(kMaxPages) +
+                 " pages; simulated addresses must be arena-relative");
+  // Grow by powers of two so first touches in ascending order stay
+  // amortised O(1).
+  const PageAddr want = std::max<PageAddr>(std::bit_ceil(page + 1), 64);
+  home_.resize(static_cast<std::size_t>(std::min(want, kMaxPages)), kUnbound);
+}
 
 std::size_t PageMap::bind_range(std::uint64_t addr, std::uint64_t size,
                                 topo::ProcId home) {
@@ -10,26 +27,30 @@ std::size_t PageMap::bind_range(std::uint64_t addr, std::uint64_t size,
   COOL_CHECK(size > 0, "bind_range: empty range");
   const PageAddr first = machine_.page_of(addr);
   const PageAddr last = machine_.page_of(addr + size - 1);
-  for (PageAddr p = first; p <= last; ++p) map_[p] = home;
+  cover(last);
+  for (PageAddr p = first; p <= last; ++p) {
+    if (home_[p] == kUnbound) ++n_bound_;
+    home_[p] = home;
+  }
   return static_cast<std::size_t>(last - first + 1);
 }
 
-topo::ProcId PageMap::home_of(std::uint64_t addr, topo::ProcId toucher) {
-  COOL_CHECK(toucher < machine_.n_procs, "home_of: processor id out of range");
-  const PageAddr page = machine_.page_of(addr);
-  auto [it, inserted] = map_.try_emplace(page, toucher);
-  if (inserted) ++first_touches_;
-  return it->second;
+topo::ProcId PageMap::first_touch(PageAddr page, topo::ProcId toucher) {
+  cover(page);
+  home_[page] = toucher;
+  ++n_bound_;
+  ++first_touches_;
+  return toucher;
 }
 
 topo::ProcId PageMap::home_of_bound(std::uint64_t addr) const {
-  const auto it = map_.find(machine_.page_of(addr));
-  COOL_CHECK(it != map_.end(), "home_of_bound: page is not bound");
-  return it->second;
+  COOL_CHECK(is_bound(addr), "home_of_bound: page is not bound");
+  return home_[machine_.page_of(addr)];
 }
 
 bool PageMap::is_bound(std::uint64_t addr) const {
-  return map_.contains(machine_.page_of(addr));
+  const PageAddr page = machine_.page_of(addr);
+  return page < home_.size() && home_[page] != kUnbound;
 }
 
 std::vector<PageAddr> PageMap::pages_in(std::uint64_t addr,
@@ -45,7 +66,9 @@ std::vector<PageAddr> PageMap::pages_in(std::uint64_t addr,
 
 std::vector<std::size_t> PageMap::pages_per_proc() const {
   std::vector<std::size_t> counts(machine_.n_procs, 0);
-  for (const auto& [page, home] : map_) ++counts[home];
+  for (const topo::ProcId home : home_) {
+    if (home != kUnbound) ++counts[home];
+  }
   return counts;
 }
 

@@ -8,6 +8,7 @@
 // paper's machine and is the default for every figure benchmark.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/bitops.hpp"
@@ -78,11 +79,15 @@ struct MachineConfig {
     return cluster_of(a) == cluster_of(b);
   }
 
+  // Shifts, not divides: validate() requires both sizes to be powers of two.
+  [[nodiscard]] unsigned line_shift() const noexcept {
+    return static_cast<unsigned>(std::countr_zero(line_bytes));
+  }
   [[nodiscard]] std::uint64_t line_of(std::uint64_t addr) const {
-    return addr / line_bytes;
+    return addr >> line_shift();
   }
   [[nodiscard]] std::uint64_t page_of(std::uint64_t addr) const {
-    return addr / page_bytes;
+    return addr >> std::countr_zero(page_bytes);
   }
 };
 

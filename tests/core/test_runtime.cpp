@@ -82,6 +82,12 @@ TEST(Runtime, InvalidMachineRejected) {
   EXPECT_THROW(Runtime rt(cfg), util::Error);
 }
 
+TEST(Runtime, ArenaBeyondPageMapRejected) {
+  SystemConfig cfg;
+  cfg.arena_bytes = (mem::PageMap::kMaxPages + 1) * cfg.machine.page_bytes;
+  EXPECT_THROW(Runtime rt(cfg), util::Error);
+}
+
 TEST(Runtime, SameProgramBothEngines) {
   // The identical COOL program must produce identical results under the
   // simulator and under real threads.
