@@ -21,7 +21,11 @@
 //       --fail-on-regression=PCT the exit status instead tracks only
 //       direction-aware regressions (a speedup shrinking, cycles or steal
 //       counters growing) beyond PCT — drift in the good direction still
-//       prints but passes.
+//       prints but passes. In both modes each record's `adaptation` array
+//       (the adaptive engine's decision log) must match exactly, a log
+//       present on one side only included; a difference names the bench,
+//       the index of the first differing decision and both `action`
+//       strings, and fails the comparison.
 //
 // The bench binaries are expected next to the runner (the build drops
 // everything into build/bench/), overridable with --bin-dir.
@@ -258,11 +262,58 @@ bool obs_metrics(const Value& rec,
   return true;
 }
 
+/// Deep equality of two parsed JSON values.
+bool same_value(const Value& a, const Value& b) {
+  if (a.kind != b.kind || a.boolean != b.boolean || a.num != b.num ||
+      a.str != b.str || a.arr.size() != b.arr.size() ||
+      a.obj.size() != b.obj.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.arr.size(); ++i) {
+    if (!same_value(a.arr[i], b.arr[i])) return false;
+  }
+  for (const auto& [k, va] : a.obj) {
+    const Value* vb = b.find(k);
+    if (vb == nullptr || !same_value(va, *vb)) return false;
+  }
+  return true;
+}
+
+/// The first difference between two records' `adaptation` decision logs, or
+/// "" when they are equal (both absent counts as equal). Names the index of
+/// the first differing decision and both sides' `action` strings.
+std::string adaptation_diff(const Value& a, const Value& b) {
+  const Value* la = a.find("adaptation");
+  const Value* lb = b.find("adaptation");
+  if (la == nullptr && lb == nullptr) return "";
+  if (la == nullptr || lb == nullptr) {
+    return std::string("adaptation log present only in ") +
+           (la == nullptr ? "NEW" : "OLD");
+  }
+  const auto action = [](const Value* log, std::size_t i) -> std::string {
+    if (i >= log->arr.size()) return "(none)";
+    const Value* act = log->arr[i].find("action");
+    return act != nullptr && act->is_string() ? "'" + act->str + "'"
+                                              : "(no action)";
+  };
+  const std::size_t n = std::max(la->arr.size(), lb->arr.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i < la->arr.size() && i < lb->arr.size() &&
+        same_value(la->arr[i], lb->arr[i])) {
+      continue;
+    }
+    return "adaptation decision " + std::to_string(i) + " differs: " +
+           action(la, i) + " -> " + action(lb, i);
+  }
+  return "";
+}
+
 int compare_runs(const std::string& old_dir, const std::string& new_dir,
                  double threshold, double fail_pct) {
   int compared = 0;
   int over = 0;
   int regressed = 0;
+  int log_diffs = 0;
   std::error_code ec;
   std::vector<fs::path> olds;
   for (const auto& e : fs::directory_iterator(old_dir, ec)) {
@@ -321,6 +372,12 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
         std::printf("%-28s config.%s differs between runs\n", bench.c_str(),
                     k.c_str());
       }
+    }
+    // The adaptive engine's decision log is deterministic simulation
+    // output: any difference fails the comparison in either mode.
+    if (const std::string d = adaptation_diff(a, b); !d.empty()) {
+      std::printf("%-28s %s\n", bench.c_str(), d.c_str());
+      ++log_diffs;
     }
     // Simulator speed (cycles simulated per wall-second). Purely
     // informational: it measures the host and the simulator, not the code
@@ -413,17 +470,20 @@ int compare_runs(const std::string& old_dir, const std::string& new_dir,
       }
     }
   }
+  if (log_diffs > 0) {
+    std::printf("runner: %d adaptation log(s) differ\n", log_diffs);
+  }
   if (fail_pct >= 0.0) {
     std::printf(
         "runner: compared %d metric(s), %d past the %.1f%% threshold, "
         "%d regression(s) past %.1f%%\n",
         compared, over, threshold, regressed, fail_pct);
-    return regressed == 0 ? 0 : 1;
+    return regressed == 0 && log_diffs == 0 ? 0 : 1;
   }
   std::printf(
       "runner: compared %d shape metric(s), %d past the %.1f%% threshold\n",
       compared, over, threshold);
-  return over == 0 ? 0 : 1;
+  return over == 0 && log_diffs == 0 ? 0 : 1;
 }
 
 }  // namespace

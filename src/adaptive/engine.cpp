@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/error.hpp"
 #include "obs/json.hpp"
 
 namespace cool::adaptive {
@@ -39,6 +40,13 @@ void sub_vec(std::vector<std::uint64_t>& a,
   for (std::size_t i = 0; i < n; ++i) a[i] = a[i] >= b[i] ? a[i] - b[i] : 0;
 }
 
+obs::advisor::Finding scheduler_finding(obs::AdviceKind kind) {
+  obs::advisor::Finding f;
+  f.kind = kind;
+  f.subject = "scheduler";
+  return f;
+}
+
 }  // namespace
 
 AdaptiveEngine::AdaptiveEngine(const topo::MachineConfig& machine,
@@ -48,7 +56,14 @@ AdaptiveEngine::AdaptiveEngine(const topo::MachineConfig& machine,
       hooks_(std::move(hooks)),
       gov_(policy.confirm_epochs, policy.cooldown_epochs),
       bal_gov_(policy.confirm_epochs, policy.cooldown_epochs,
-               policy.balancer_dwell_epochs, policy.balancer_max_switches) {}
+               policy.balancer_dwell_epochs, policy.balancer_max_switches),
+      objective_(policy.latency_target_cycles != 0 ? Objective::kLatency
+                                                   : Objective::kThroughput) {
+  COOL_CHECK(hooks_.profile && hooks_.metrics && hooks_.mutate_policy &&
+                 hooks_.policy,
+             "adaptive engine needs the profile, metrics, policy and "
+             "mutate_policy hooks");
+}
 
 std::uint64_t AdaptiveEngine::on_task_dispatch(topo::ProcId proc,
                                                std::uint64_t now) {
@@ -67,9 +82,8 @@ std::uint64_t AdaptiveEngine::on_task_dispatch(topo::ProcId proc,
 
 std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   ++epoch_;
-  obs::ProfileSnapshot cur = hooks_.profile ? hooks_.profile()
-                                            : obs::ProfileSnapshot{};
-  obs::Snapshot met = hooks_.metrics ? hooks_.metrics() : obs::Snapshot{};
+  obs::ProfileSnapshot cur = hooks_.profile();
+  obs::Snapshot met = hooks_.metrics();
 
   // Per-epoch deltas: subtract the previous cumulative snapshots so the
   // rules judge this epoch's behaviour, not the run's whole history. The
@@ -116,16 +130,32 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
 
   std::uint64_t cost = pol_.epoch_cost_cycles;
   std::uint32_t actions = 0;
-  const std::uint64_t rehomes_before = rehomes_since_enable_;
+  const std::optional<std::uint64_t> rehomes_before = ctl_.steal_relief;
   // The latency objective runs before the throughput findings so a serving
   // workload's tail-latency relief is first in line for the action budget.
-  latency_objective(dm, now + cost, actions);
+  if (objective_ == Objective::kLatency) {
+    latency_objective(dm, now + cost, actions);
+  }
   for (const obs::advisor::Finding& f : findings) {
     if (actions >= pol_.max_actions_per_epoch) break;
     const std::size_t before = log_.size();
     cost += act(f, proc, now + cost);
     if (log_.size() > before) ++actions;
   }
+  if (objective_ == Objective::kThroughput) {
+    throughput_reverts(dm, rehomes_before, now + cost);
+  }
+  return cost;
+}
+
+void AdaptiveEngine::throughput_reverts(
+    const obs::Snapshot& dm, const std::optional<std::uint64_t>& rehomes_before,
+    std::uint64_t now) {
+  std::uint64_t queued_max = 0;
+  if (auto it = dm.values.find("sched.queue.max_now"); it != dm.values.end()) {
+    queued_max = it->second;
+  }
+  const bool drained = queued_max * 2 < machine_.n_procs;
 
   // Revert the steal-storm relief once rehoming has spread the data: with
   // the hot objects now homed next to (or across) their users, OBJECT tasks
@@ -137,23 +167,11 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   // while a deep queue still sits on the old home. The shared governor key
   // keeps enable/revert at least one cooldown apart; if imbalance returns,
   // the storm rule re-enables.
-  std::uint64_t queued_max = 0;
-  if (auto it = dm.values.find("sched.queue.max_now"); it != dm.values.end()) {
-    queued_max = it->second;
-  }
-  if (pol_.enable_steal_policy && enabled_steal_object_ &&
-      rehomes_since_enable_ > 0 &&
-      rehomes_since_enable_ == rehomes_before &&
-      queued_max * 2 < machine_.n_procs && hooks_.mutate_policy &&
-      gov_.admit("policy:steal_object_tasks", epoch_)) {
-    hooks_.mutate_policy(
-        [](sched::Policy& p) { p.steal_object_tasks = false; });
-    enabled_steal_object_ = false;
-    rehomes_since_enable_ = 0;
-    obs::advisor::Finding f;
-    f.kind = obs::AdviceKind::kStealStorm;
-    f.subject = "scheduler";
-    record(f, "steal_object_tasks=off (data spread)", now + cost, 0);
+  if (ctl_.steal_relief && *ctl_.steal_relief > 0 &&
+      ctl_.steal_relief == rehomes_before && drained &&
+      set_steal_relief(false)) {
+    record(scheduler_finding(obs::AdviceKind::kStealStorm),
+           "steal_object_tasks=off (data spread)", now, 0);
   }
 
   // Revert the balancer escalation once the pile-up has drained: the Average
@@ -161,33 +179,21 @@ std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
   // and reverting restores the Stealing balancer's byte-identical default
   // probe order. The BalancerGovernor's dwell keeps the switch and its revert
   // at least one dwell window apart, and the revert consumes one of the
-  // lifetime switch slots like any other swap. In serving mode the latency
-  // objective owns the switch AND its revert: a shallow queue here just
-  // means the escalation is *working* — under sustained hot-key load the
-  // revert would reopen the very pile-up it is celebrating, so it defers to
-  // the ladder's p99-headroom revert instead.
-  if (pol_.latency_target_cycles == 0 && switched_balancer_ &&
-      queued_max * 2 < machine_.n_procs &&
-      hooks_.mutate_policy && hooks_.policy &&
+  // lifetime switch slots like any other swap. (Serving mode never takes
+  // this path: there a shallow queue means the escalation is *working*, and
+  // reverting would reopen the very pile-up it is celebrating.)
+  if (ctl_.balancer_switched && drained &&
       hooks_.policy().balancer == sched::BalancerKind::kAverage &&
-      bal_gov_.admit("balancer:stealing", epoch_)) {
-    hooks_.mutate_policy([](sched::Policy& p) {
-      p.balancer = sched::BalancerKind::kStealing;
-    });
-    switched_balancer_ = false;
-    obs::advisor::Finding f;
-    f.kind = obs::AdviceKind::kIdleImbalance;
-    f.subject = "scheduler";
-    record(f, "balancer=stealing (pile-up drained)", now + cost, 0);
+      switch_balancer(sched::BalancerKind::kStealing)) {
+    record(scheduler_finding(obs::AdviceKind::kIdleImbalance),
+           "balancer=stealing (pile-up drained)", now, 0);
   }
-  return cost;
 }
 
 void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
                                        std::uint64_t now,
                                        std::uint32_t& actions) {
-  if (pol_.latency_target_cycles == 0 || !latency_sensor_) return;
-  if (!hooks_.mutate_policy || !hooks_.policy) return;
+  if (!latency_sensor_) return;
   const obs::LatencyHist cur = latency_sensor_();
   const obs::LatencyHist delta = cur.diff(prev_latency_);
   prev_latency_ = cur;
@@ -259,34 +265,27 @@ void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
     // ladder below is the wrong medicine — balancer moves and pin-break
     // steals relocate *requests*, but the tail is built from remote-data
     // service time, which moving requests around can only spread, not
-    // shrink. Instead open the serving-mode stand-down for the migration
-    // actuators (act() lets kMigrateObject / kDistributeObject through
-    // while memory_escalation_ holds) so the advisor's data-plane rules
-    // rehome the remote-hot objects. Logged once, deterministically. The
-    // gate is sticky across overshoot epochs: the rehome wave itself stalls
-    // serving processors and invalidates cached lines, which manufactures
-    // transient queue-dominated epochs — flipping to the balancer mid-wave
-    // would abandon the data fix for request churn. Only recovery (p99 back
-    // at or under target) closes it.
+    // shrink. Instead open the memory gate (allows() then lets the
+    // migration actuators through) so the advisor's data-plane rules rehome
+    // the remote-hot objects. The gate is sticky across overshoot epochs:
+    // the rehome wave itself stalls serving processors and invalidates
+    // cached lines, which manufactures transient queue-dominated epochs —
+    // flipping to the balancer mid-wave would abandon the data fix for
+    // request churn. Only recovery (p99 back at or under target) closes it.
     // Bandwidth refinement: when the channels themselves are saturated,
     // migrating the hot object toward its users concentrates *more* fills on
     // the destination cluster's channels — the opposite of relief. Route to
     // the distribute actuator alone (spread pages across channels) instead
-    // of the full migrate/distribute pair. The choice is made once, on the
-    // first memory-dominated overshoot epoch, and is sticky like the gate
-    // itself: the rehome wave perturbs both sensors mid-flight.
-    if (have_breakdown && mem_dominated && !memory_escalation_ &&
-        !bandwidth_escalation_) {
-      if (bandwidth_bound) {
-        bandwidth_escalation_ = true;
-      } else {
-        memory_escalation_ = true;
-      }
+    // of the full migrate/distribute pair. The choice is made when the gate
+    // opens and is sticky like the gate itself: the rehome wave perturbs
+    // both sensors mid-flight. Only the run's first opening is logged.
+    if (have_breakdown && mem_dominated && ctl_.gate == MemGate::kClosed) {
+      ctl_.gate = bandwidth_bound ? MemGate::kDistribute : MemGate::kMigrate;
     }
-    if (memory_escalation_ || bandwidth_escalation_) {
-      if (!logged_memory_escalation_) {
-        logged_memory_escalation_ = true;
-        if (bandwidth_escalation_) {
+    if (ctl_.gate != MemGate::kClosed) {
+      if (!ctl_.gate_logged) {
+        ctl_.gate_logged = true;
+        if (ctl_.gate == MemGate::kDistribute) {
           f.kind = obs::AdviceKind::kBandwidthBound;
           record(f,
                  fmt("escalate=distribute (bandwidth-bound, hot channel "
@@ -314,11 +313,7 @@ void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
     // every other server's placement untouched.
     if (pol_.enable_balancer &&
         p.balancer == sched::BalancerKind::kStealing) {
-      if (!bal_gov_.admit("balancer:average", epoch_)) return;
-      hooks_.mutate_policy([](sched::Policy& pol) {
-        pol.balancer = sched::BalancerKind::kAverage;
-      });
-      switched_balancer_ = true;
+      if (!switch_balancer(sched::BalancerKind::kAverage)) return;
       record(f,
              fmt("balancer=average (p99 %" PRIu64 " > target %" PRIu64 ")",
                  p99, target),
@@ -334,15 +329,11 @@ void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
     // is queued behind. Give rung 1 a full balancer dwell first: right
     // after the switch the completing backlog still carries its
     // pre-escalation queueing delay, so the epoch p99 lags the fix.
-    if (switched_balancer_ &&
+    if (ctl_.balancer_switched &&
         epoch_ < bal_gov_.last_switch_epoch() + pol_.balancer_dwell_epochs) {
       return;
     }
-    if (!p.steal_object_tasks) {
-      if (!gov_.admit("latency:steal_object_tasks", epoch_)) return;
-      hooks_.mutate_policy(
-          [](sched::Policy& pol) { pol.steal_object_tasks = true; });
-      latency_relief_on_ = true;
+    if (!p.steal_object_tasks && set_steal_relief(true)) {
       record(f,
              fmt("steal_object_tasks=on (p99 %" PRIu64 " > target %" PRIu64
                  ")",
@@ -353,11 +344,10 @@ void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
     return;
   }
 
-  // Back at or under target: close the migration gates. The one-shot
-  // migrations already applied stay in place, but further data-plane churn
-  // must be justified by a fresh memory-dominated overshoot.
-  memory_escalation_ = false;
-  bandwidth_escalation_ = false;
+  // Back at or under target: close the memory gate. The one-shot migrations
+  // already applied stay in place, but further data-plane churn must be
+  // justified by a fresh memory-dominated overshoot.
+  ctl_.gate = MemGate::kClosed;
 
   // Relief revert: only the steal flag comes back down, and only with real
   // headroom (p99 at or under half the target), so the ladder cannot
@@ -368,148 +358,41 @@ void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
   // arrival still to come. Pin-break stealing, by contrast, has a real
   // ongoing cost (remote critical sections) worth shedding once the tail
   // clears.
-  if (latency_relief_on_ && p99 * 2 <= target &&
-      hooks_.policy().steal_object_tasks) {
-    if (!gov_.admit("latency:steal_object_tasks", epoch_)) return;
-    hooks_.mutate_policy(
-        [](sched::Policy& pol) { pol.steal_object_tasks = false; });
-    latency_relief_on_ = false;
-    record(f,
-           fmt("steal_object_tasks=off (p99 %" PRIu64 " <= target/2)", p99),
+  if (ctl_.steal_relief && p99 * 2 <= target &&
+      hooks_.policy().steal_object_tasks && set_steal_relief(false)) {
+    record(f, fmt("steal_object_tasks=off (p99 %" PRIu64 " <= target/2)", p99),
            now, 0);
   }
 }
 
+bool AdaptiveEngine::allows(obs::AdviceKind kind) const {
+  // Serving mode: a latency target states the user's objective, and every
+  // throughput-heuristic actuator was tuned for batch programs with no
+  // notion of a tail. Data-plane churn (migrating or re-homing the hot
+  // object mid-trace, promoting its requests into back-to-back sets) and
+  // pin-break stealing all *raise* a hot-key p99 — the latency ladder is the
+  // only actuator that evaluates its actions against the stated objective,
+  // so the rest stand down. The steal-storm scan cap stays available:
+  // bounding failed scans is objective-neutral. The memory gate reopens the
+  // migration actuators while the overshoot is memory-stall dominated.
+  if (objective_ == Objective::kThroughput ||
+      kind == obs::AdviceKind::kStealStorm) {
+    return true;
+  }
+  if (kind == obs::AdviceKind::kDistributeObject) {
+    return ctl_.gate != MemGate::kClosed;
+  }
+  return kind == obs::AdviceKind::kMigrateObject &&
+         ctl_.gate == MemGate::kMigrate;
+}
+
 std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
                                   topo::ProcId proc, std::uint64_t now) {
-  // Serving mode: a latency target states the user's objective, and every
-  // throughput-heuristic actuator below was tuned for batch programs with
-  // no notion of a tail. Data-plane churn (migrating or re-homing the hot
-  // object mid-trace, promoting its requests into back-to-back sets) and
-  // pin-break stealing all *raise* a hot-key p99 — the latency ladder
-  // (latency_objective) is the only actuator that evaluates its actions
-  // against the stated objective, so the rest stand down. The steal-storm
-  // scan cap stays available: bounding failed scans is objective-neutral.
-  // Exception: while the breakdown sensor has diagnosed the overshoot as
-  // memory-stall dominated (memory_escalation_), the migration actuators
-  // are exactly the objective's chosen remedy and pass through. The
-  // bandwidth-bound refinement narrows the opening further: saturated
-  // channels mean re-homing onto one memory only moves the queueing, so
-  // only kDistributeObject (spread pages across channels) passes.
-  const bool migration = f.kind == obs::AdviceKind::kMigrateObject ||
-                         f.kind == obs::AdviceKind::kDistributeObject;
-  const bool escalated =
-      bandwidth_escalation_
-          ? f.kind == obs::AdviceKind::kDistributeObject
-          : (memory_escalation_ && migration);
-  if (pol_.latency_target_cycles != 0 &&
-      f.kind != obs::AdviceKind::kStealStorm && !escalated) {
-    return 0;
-  }
-  // Rehoming target filter: Policy::reserve_exclude_mask marks processors
-  // whose cycles belong to non-queue work (a serving front-end) — homing a
-  // hot object there makes it permanently remote to every server. Skip them
-  // when rotating rehome targets, unless the mask excludes everything.
-  const std::uint64_t excl =
-      hooks_.policy ? hooks_.policy().reserve_exclude_mask : 0;
-  const auto pick = [this, excl](std::uint32_t base, std::uint32_t span,
-                                 std::uint32_t idx) -> topo::ProcId {
-    for (std::uint32_t k = 0; k < span; ++k) {
-      const std::uint32_t cand = base + (idx + k) % span;
-      if (cand < machine_.n_procs && ((excl >> cand) & 1) == 0) {
-        return static_cast<topo::ProcId>(cand);
-      }
-    }
-    return static_cast<topo::ProcId>(base + idx % span);
-  };
+  if (!allows(f.kind)) return 0;
   switch (f.kind) {
-    case obs::AdviceKind::kMigrateObject: {
-      if (!pol_.enable_migrate || !hooks_.migrate) return 0;
-      const std::string done_key = "object:" + f.subject;
-      if (done_.count(done_key) != 0) return 0;
-      if (!gov_.admit("migrate:" + f.subject, epoch_)) return 0;
-      const topo::ProcId first = static_cast<topo::ProcId>(
-          f.user_cluster * machine_.procs_per_cluster);
-      const std::uint64_t pb = machine_.page_bytes;
-      const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
-      std::uint64_t c = 0;
-      std::string action;
-      if (pages > 1 && first < machine_.n_procs) {
-        // Multi-page object: spread its pages over the dominant cluster's
-        // processors rather than piling the whole thing onto one memory —
-        // the object moves next to its users without creating a hotspot.
-        const std::uint32_t span = machine_.n_procs - first <
-                                           machine_.procs_per_cluster
-                                       ? machine_.n_procs - first
-                                       : machine_.procs_per_cluster;
-        for (std::uint64_t i = 0; i < pages; ++i) {
-          const std::uint64_t off = i * pb;
-          const std::uint64_t len =
-              off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
-          const topo::ProcId target =
-              pick(first, span, static_cast<std::uint32_t>(i));
-          c += hooks_.migrate(proc, f.obj_addr + off, len, target, now + c);
-        }
-        action = fmt("migrate %" PRIu64 " pages into cluster %zu", pages,
-                     f.user_cluster);
-      } else {
-        // Sub-page object: rotate the target over the cluster's processors
-        // so a family of small hot objects doesn't pile onto one memory.
-        topo::ProcId target = first;
-        if (first < machine_.n_procs) {
-          const std::uint32_t span = machine_.n_procs - first <
-                                             machine_.procs_per_cluster
-                                         ? machine_.n_procs - first
-                                         : machine_.procs_per_cluster;
-          target = pick(first, span, migrate_cursor_);
-          ++migrate_cursor_;
-        } else {
-          target = machine_.n_procs - 1;
-        }
-        c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
-        action =
-            fmt("migrate to proc %u (cluster %zu)", target, f.user_cluster);
-      }
-      done_.insert(done_key);
-      ++rehomes_since_enable_;
-      record(f, std::move(action), now, c);
-      return c;
-    }
-    case obs::AdviceKind::kDistributeObject: {
-      if (!pol_.enable_distribute || !hooks_.migrate) return 0;
-      const std::string done_key = "object:" + f.subject;
-      if (done_.count(done_key) != 0) return 0;
-      if (!gov_.admit("distribute:" + f.subject, epoch_)) return 0;
-      const std::uint64_t pb = machine_.page_bytes;
-      const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
-      std::uint64_t c = 0;
-      std::string action;
-      if (pages > 1) {
-        // Multi-page object: round-robin its pages across every processor's
-        // memory — the automated version of the hand `distribute()` call.
-        for (std::uint64_t i = 0; i < pages; ++i) {
-          const std::uint64_t off = i * pb;
-          const std::uint64_t len =
-              off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
-          const topo::ProcId target =
-              pick(0, machine_.n_procs, static_cast<std::uint32_t>(i));
-          c += hooks_.migrate(proc, f.obj_addr + off, len, target, now + c);
-        }
-        action = fmt("distribute %" PRIu64 " pages round-robin", pages);
-      } else {
-        // Sub-page object: rehome it whole, rotating the target so a family
-        // of small hot objects (e.g. matrix columns) spreads out.
-        const topo::ProcId target = pick(0, machine_.n_procs, distribute_cursor_);
-        distribute_cursor_ =
-            (distribute_cursor_ + 1) % machine_.n_procs;
-        c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
-        action = fmt("rehome to proc %u (round-robin)", target);
-      }
-      done_.insert(done_key);
-      ++rehomes_since_enable_;
-      record(f, std::move(action), now, c);
-      return c;
-    }
+    case obs::AdviceKind::kMigrateObject:
+    case obs::AdviceKind::kDistributeObject:
+      return rehome(f, proc, now);
     case obs::AdviceKind::kTaskAffinity: {
       if (!pol_.enable_hints || !hooks_.promote) return 0;
       const std::string done_key = "promote:" + f.subject;
@@ -521,9 +404,7 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       return 0;
     }
     case obs::AdviceKind::kWholeSetStealing: {
-      if (!pol_.enable_steal_policy || !hooks_.mutate_policy || !hooks_.policy) {
-        return 0;
-      }
+      if (!pol_.enable_steal_policy) return 0;
       const sched::Policy p = hooks_.policy();
       if (!p.steal_enabled || p.steal_whole_sets) return 0;
       if (!gov_.admit("policy:steal_whole_sets", epoch_)) return 0;
@@ -540,28 +421,14 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       // spawn burst puts at most a task or two on each queue, so a deepest
       // queue holding half the machine's worth of work means the work
       // exists but cannot spread.
-      if (!pol_.enable_steal_policy || !hooks_.mutate_policy ||
-          !hooks_.policy) {
-        return 0;
-      }
+      if (!pol_.enable_steal_policy) return 0;
       if (f.queued_max * 2 < machine_.n_procs) return 0;
-      // With a latency target set, the latency objective owns the
-      // steal_object_tasks knob and the balancer escalation: its ladder
-      // tries batched moves first because pin-break stealing makes a
-      // hot-key tail *worse* (stolen requests hold their monitors over
-      // remote data). The throughput-oriented pile-up relief here would
-      // fight that ordering, so it stands down.
-      if (pol_.latency_target_cycles != 0) return 0;
       const sched::Policy p = hooks_.policy();
       if (!p.steal_enabled) return 0;
       if (!p.steal_object_tasks) {
-        if (!pol_.enable_steal_policy) return 0;
-        if (!gov_.admit("policy:steal_object_tasks", epoch_)) return 0;
-        hooks_.mutate_policy(
-            [](sched::Policy& pol) { pol.steal_object_tasks = true; });
-        enabled_steal_object_ = true;
-        rehomes_since_enable_ = 0;
-        record(f, "steal_object_tasks=on (queue pile-up)", now, 0);
+        if (set_steal_relief(true)) {
+          record(f, "steal_object_tasks=on (queue pile-up)", now, 0);
+        }
         return 0;
       }
       // Escalation: the steal-policy relief is already on and the pile-up is
@@ -574,32 +441,22 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       if (!pol_.enable_balancer || p.balancer != sched::BalancerKind::kStealing) {
         return 0;
       }
-      if (!bal_gov_.admit("balancer:average", epoch_)) return 0;
-      hooks_.mutate_policy([](sched::Policy& pol) {
-        pol.balancer = sched::BalancerKind::kAverage;
-      });
-      switched_balancer_ = true;
-      record(f, "balancer=average (pile-up persists)", now, 0);
+      if (switch_balancer(sched::BalancerKind::kAverage)) {
+        record(f, "balancer=average (pile-up persists)", now, 0);
+      }
       return 0;
     }
     case obs::AdviceKind::kStealStorm: {
-      if (!pol_.enable_steal_policy || !hooks_.mutate_policy || !hooks_.policy) {
-        return 0;
-      }
+      if (!pol_.enable_steal_policy) return 0;
       const sched::Policy p = hooks_.policy();
       if (!p.steal_enabled) return 0;
-      // In serving mode the latency ladder owns the steal knob (see the
-      // stand-down above) — fall through to the objective-neutral scan cap.
-      if (!p.steal_object_tasks && pol_.latency_target_cycles == 0) {
+      // In serving mode the latency ladder owns the steal knob — fall
+      // through to the objective-neutral scan cap.
+      if (!p.steal_object_tasks && objective_ == Objective::kThroughput) {
         // Idle processors scan but find nothing stealable: the usual cause
         // is every task carrying OBJECT affinity (default-steal-exempt).
         // Letting object tasks be stolen is the least intrusive relief.
-        if (!gov_.admit("policy:steal_object_tasks", epoch_)) return 0;
-        hooks_.mutate_policy(
-            [](sched::Policy& pol) { pol.steal_object_tasks = true; });
-        enabled_steal_object_ = true;
-        rehomes_since_enable_ = 0;
-        record(f, "steal_object_tasks=on", now, 0);
+        if (set_steal_relief(true)) record(f, "steal_object_tasks=on", now, 0);
         return 0;
       }
       if (p.max_steal_scan == 0) {
@@ -610,7 +467,6 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
         hooks_.mutate_policy(
             [cap](sched::Policy& pol) { pol.max_steal_scan = cap; });
         record(f, fmt("max_steal_scan=%u", cap), now, 0);
-        return 0;
       }
       return 0;
     }
@@ -620,11 +476,97 @@ std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
       return 0;
     case obs::AdviceKind::kBandwidthBound:
       // Diagnostic, not an actuator: the latency objective owns the
-      // bandwidth escalation (it opens the stand-down for the distribute
-      // actuator above), and offline the advisor renders it as advice.
+      // bandwidth escalation (it opens the memory gate for the distribute
+      // actuator), and offline the advisor renders it as advice.
       return 0;
   }
   return 0;
+}
+
+bool AdaptiveEngine::set_steal_relief(bool on) {
+  // Each objective paces its own relief under its own governor key.
+  const char* key = objective_ == Objective::kLatency
+                        ? "latency:steal_object_tasks"
+                        : "policy:steal_object_tasks";
+  if (!gov_.admit(key, epoch_)) return false;
+  hooks_.mutate_policy([on](sched::Policy& p) { p.steal_object_tasks = on; });
+  ctl_.steal_relief =
+      on ? std::optional<std::uint64_t>(0) : std::optional<std::uint64_t>();
+  return true;
+}
+
+bool AdaptiveEngine::switch_balancer(sched::BalancerKind to) {
+  const bool away = to == sched::BalancerKind::kAverage;
+  if (!bal_gov_.admit(away ? "balancer:average" : "balancer:stealing",
+                      epoch_)) {
+    return false;
+  }
+  hooks_.mutate_policy([to](sched::Policy& p) { p.balancer = to; });
+  ctl_.balancer_switched = away;
+  return true;
+}
+
+std::uint64_t AdaptiveEngine::rehome(const obs::advisor::Finding& f,
+                                     topo::ProcId proc, std::uint64_t now) {
+  const bool migrate = f.kind == obs::AdviceKind::kMigrateObject;
+  if (!hooks_.migrate) return 0;
+  const std::string done_key = "object:" + f.subject;
+  if (done_.count(done_key) != 0) return 0;
+  if (!gov_.admit((migrate ? "migrate:" : "distribute:") + f.subject, epoch_)) {
+    return 0;
+  }
+  // Migrate targets the dominant user cluster's processors, distribute the
+  // whole machine. Multi-page objects spread their pages over the targets
+  // (next to the users without creating a hotspot, or round-robin like a
+  // hand `distribute()` call); sub-page objects move whole, each to the
+  // next target in rotation, so a family of small hot objects spreads out.
+  const std::uint32_t n = machine_.n_procs;
+  const std::uint32_t base =
+      migrate ? static_cast<topo::ProcId>(f.user_cluster *
+                                          machine_.procs_per_cluster)
+              : 0;
+  const std::uint32_t span =
+      migrate ? std::min(n - base, machine_.procs_per_cluster) : n;
+  std::uint32_t& cursor = migrate ? migrate_cursor_ : distribute_cursor_;
+  // Policy::reserve_exclude_mask marks processors whose cycles belong to
+  // non-queue work (a serving front-end) — homing a hot object there makes
+  // it permanently remote to every server. Skip them, unless the mask
+  // excludes every target.
+  const std::uint64_t excl = hooks_.policy().reserve_exclude_mask;
+  const auto pick = [&](std::uint32_t idx) -> topo::ProcId {
+    for (std::uint32_t k = 0; k < span; ++k) {
+      const std::uint32_t cand = base + (idx + k) % span;
+      if (cand < n && ((excl >> cand) & 1) == 0) return cand;
+    }
+    return base + idx % span;
+  };
+  const std::uint64_t pb = machine_.page_bytes;
+  const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
+  std::uint64_t c = 0;
+  std::string action;
+  if (pages > 1 && base < n) {
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      const std::uint64_t off = i * pb;
+      const std::uint64_t len = off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
+      c += hooks_.migrate(proc, f.obj_addr + off, len,
+                          pick(static_cast<std::uint32_t>(i)), now + c);
+    }
+    action = migrate ? fmt("migrate %" PRIu64 " pages into cluster %zu", pages,
+                           f.user_cluster)
+                     : fmt("distribute %" PRIu64 " pages round-robin", pages);
+  } else {
+    // A user cluster past the machine (a profile wider than the machine)
+    // falls back to the last processor.
+    const topo::ProcId target = base < n ? pick(cursor++) : n - 1;
+    c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
+    action = migrate ? fmt("migrate to proc %u (cluster %zu)", target,
+                           f.user_cluster)
+                     : fmt("rehome to proc %u (round-robin)", target);
+  }
+  done_.insert(done_key);
+  if (ctl_.steal_relief) ++*ctl_.steal_relief;
+  record(f, std::move(action), now, c);
+  return c;
 }
 
 void AdaptiveEngine::record(const obs::advisor::Finding& f, std::string action,

@@ -1,9 +1,9 @@
 // AdaptiveEngine — the online loop that closes profiler → advisor → scheduler.
 //
-// The offline story (PR 3) was: run, dump the locality profile, read the
-// advisor's prose, edit the source to add hints or migrate() calls, rerun.
-// This engine runs the same advisor rules *during* the run and applies their
-// decisions through three actuators, no source changes required:
+// The offline story was: run, dump the locality profile, read the advisor's
+// prose, edit the source to add hints or migrate() calls, rerun. This engine
+// runs the same advisor rules *during* the run and applies their decisions
+// through four actuators, no source changes required:
 //
 //   1. memory   — MemorySystem::migrate(): rehome an object next to its
 //      dominant user (migrate-object rule), or spread a scattered-access
@@ -31,6 +31,11 @@
 // simulation thread, so decisions are deterministic: two runs of the same
 // program produce identical logs.
 //
+// The objective is fixed per run (throughput, or a latency target), and the
+// rest of the engine's mode is one explicit `Control` value: who owns the
+// steal relief, who switched the balancer, and which data-plane actuators
+// the serving-mode memory gate lets through. Each actuator has one code path.
+//
 // The engine talks to the runtime through `Hooks` (plain std::functions), so
 // it depends on no concrete engine type and unit tests can drive it with
 // synthetic snapshots.
@@ -38,6 +43,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,7 +72,9 @@ struct Decision {
 };
 
 /// Runtime services the engine needs, as callables so the engine stays
-/// independent of the concrete runtime/engine types.
+/// independent of the concrete runtime/engine types. `profile`, `metrics`,
+/// `mutate_policy` and `policy` are required (checked at construction);
+/// without `migrate` or `promote` the matching actuator never fires.
 struct Hooks {
   std::function<obs::ProfileSnapshot()> profile;  ///< Cumulative profile.
   std::function<obs::Snapshot()> metrics;         ///< Cumulative metrics.
@@ -112,8 +120,8 @@ class AdaptiveEngine {
   /// by *dominant component*: a queue-wait-dominated overshoot climbs the
   /// balancer ladder as before, but a memory-stall-dominated one routes to
   /// the migration actuators instead — moving requests around cannot fix
-  /// remote data, rehoming the data can. Without it, the fixed ladder of
-  /// PR 7 is unchanged.
+  /// remote data, rehoming the data can. Without it, every overshoot climbs
+  /// the balancer/steal ladder.
   void set_breakdown_sensor(std::function<obs::BreakdownSample()> sensor) {
     breakdown_sensor_ = std::move(sensor);
   }
@@ -131,16 +139,56 @@ class AdaptiveEngine {
   }
 
  private:
+  /// What the run is judged by. Fixed per run: a nonzero
+  /// AdaptPolicy::latency_target_cycles selects kLatency.
+  enum class Objective : std::uint8_t { kThroughput, kLatency };
+  /// Serving-mode gate for the data-plane actuators, opened by a
+  /// memory-stall-dominated overshoot and closed by recovery. kMigrate lets
+  /// kMigrateObject and kDistributeObject through; kDistribute (saturated
+  /// channels: rehoming onto one memory only moves the queueing) lets only
+  /// kDistributeObject through.
+  enum class MemGate : std::uint8_t { kClosed, kMigrate, kDistribute };
+
+  /// Everything the engine remembers about the modes it put the scheduler
+  /// in. Each actuator reverts only what the engine itself switched, so a
+  /// user-chosen setting is never "reverted". DESIGN.md §11 tabulates which
+  /// actuators each objective and gate state allows (see allows()).
+  struct Control {
+    /// Engaged while steal_object_tasks is on because the engine opened it;
+    /// counts the rehomes since then (the throughput revert waits for the
+    /// rehome wave to dry up).
+    std::optional<std::uint64_t> steal_relief;
+    /// The balancer is Average because the engine switched it there.
+    bool balancer_switched = false;
+    MemGate gate = MemGate::kClosed;
+    /// The gate's first opening is logged; later re-openings are not.
+    bool gate_logged = false;
+  };
+
   std::uint64_t run_epoch(topo::ProcId proc, std::uint64_t now);
-  /// The latency-target objective: compare this epoch's p99 against the
-  /// policy target and climb/descend the relief ladder. Shares the per-epoch
-  /// action budget via `actions`.
+  /// Serving path: compare this epoch's p99 against the policy target and
+  /// climb/descend the relief ladder or open the memory gate. Shares the
+  /// per-epoch action budget via `actions`.
   void latency_objective(const obs::Snapshot& dm, std::uint64_t now,
                          std::uint32_t& actions);
+  /// Throughput path: revert the steal relief and the balancer switch once
+  /// their cause is gone.
+  void throughput_reverts(const obs::Snapshot& dm,
+                          const std::optional<std::uint64_t>& rehomes_before,
+                          std::uint64_t now);
   /// Apply one finding through its actuator; returns cycles charged and
   /// appends to log_ iff it acted.
   std::uint64_t act(const obs::advisor::Finding& f, topo::ProcId proc,
                     std::uint64_t now);
+  /// Whether the objective and the memory gate let `kind` act at all.
+  [[nodiscard]] bool allows(obs::AdviceKind kind) const;
+
+  // The actuators, one path each. The flips return false when the governor
+  // refuses them.
+  bool set_steal_relief(bool on);
+  bool switch_balancer(sched::BalancerKind to);
+  std::uint64_t rehome(const obs::advisor::Finding& f, topo::ProcId proc,
+                       std::uint64_t now);
   void record(const obs::advisor::Finding& f, std::string action,
               std::uint64_t now, std::uint64_t cost);
 
@@ -149,10 +197,8 @@ class AdaptiveEngine {
   Hooks hooks_;
   Governor gov_;
   BalancerGovernor bal_gov_;
-  /// True while the balancer actuator holds the scheduler away from the
-  /// Stealing default; the revert path only fires for our own switches, so
-  /// a user-selected Average/Reserve balancer is never "reverted".
-  bool switched_balancer_ = false;
+  const Objective objective_;
+  Control ctl_;
   std::uint64_t epoch_ = 0;
   std::uint64_t tasks_since_ = 0;
   std::uint64_t last_epoch_cycle_ = 0;
@@ -163,42 +209,22 @@ class AdaptiveEngine {
   std::uint64_t clock_hwm_ = 0;
   std::uint64_t last_epoch_hwm_ = 0;
   std::uint64_t last_epoch_elapsed_ = 0;
-  std::uint32_t distribute_cursor_ = 0;  ///< Round-robin home for rehoming.
-  std::uint32_t migrate_cursor_ = 0;  ///< Rotates sub-page migration targets.
-  /// Steal-relief state machine: the steal-storm response (letting OBJECT
-  /// tasks be stolen) is the right medicine while work is piled on one
-  /// processor, but once the migrate/distribute actuators have rehomed the
-  /// hot objects the same flag turns local references remote. Track whether
-  /// we enabled it and how many rehomes happened since, and revert when the
-  /// data has spread (the governor paces both directions with one key).
-  bool enabled_steal_object_ = false;
-  std::uint64_t rehomes_since_enable_ = 0;
+  /// Rotating rehome targets for sub-page objects (migrate, distribute).
+  std::uint32_t migrate_cursor_ = 0;
+  std::uint32_t distribute_cursor_ = 0;
   /// Objects/sets already acted on — migrations and promotions are one-shot
   /// per subject, so a cold-cache echo of the rule can't thrash the object
   /// back and forth.
   std::set<std::string> done_;
   obs::ProfileSnapshot prev_profile_;
   obs::Snapshot prev_metrics_;
-  /// Latency-target objective state: the sensor (cumulative request
-  /// histogram), the previous epoch's snapshot for deltas, and whether the
-  /// steal relief currently on was ours (so only we revert it).
+  /// Latency sensor (cumulative request histogram) and breakdown sensor
+  /// (cumulative component histograms), each with the previous epoch's
+  /// snapshot for deltas.
   std::function<obs::LatencyHist()> latency_sensor_;
   obs::LatencyHist prev_latency_;
-  bool latency_relief_on_ = false;
-  /// Breakdown-sensor state: previous cumulative component histograms, and
-  /// whether the current epoch's overshoot is memory-stall-dominated — the
-  /// flag that opens act()'s serving-mode stand-down for the migration
-  /// actuators (and only them).
   std::function<obs::BreakdownSample()> breakdown_sensor_;
   obs::BreakdownSample prev_breakdown_;
-  bool memory_escalation_ = false;
-  /// Bandwidth-bound variant of the gate: the overshoot is memory-stall
-  /// dominated AND the channel backend reports saturated channels, so
-  /// re-homing onto one memory cannot help — only kDistributeObject (spread
-  /// pages across channels) passes the stand-down. Mutually exclusive with
-  /// memory_escalation_; recovery clears both.
-  bool bandwidth_escalation_ = false;
-  bool logged_memory_escalation_ = false;  ///< Log the transition once.
   std::vector<Decision> log_;
 };
 

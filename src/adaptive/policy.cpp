@@ -17,8 +17,6 @@ std::string AdaptPolicy::to_json() const {
   w.key("cooldown_epochs").uint_value(cooldown_epochs);
   w.key("max_actions_per_epoch").uint_value(max_actions_per_epoch);
   w.key("epoch_cost_cycles").uint_value(epoch_cost_cycles);
-  w.key("enable_migrate").bool_value(enable_migrate);
-  w.key("enable_distribute").bool_value(enable_distribute);
   w.key("enable_hints").bool_value(enable_hints);
   w.key("enable_steal_policy").bool_value(enable_steal_policy);
   w.key("enable_balancer").bool_value(enable_balancer);
@@ -102,9 +100,7 @@ AdaptPolicy parse_adapt_policy(const std::string& json_text) {
       p.max_actions_per_epoch = static_cast<std::uint32_t>(as_uint(v, key));
     } else if (key == "epoch_cost_cycles") {
       p.epoch_cost_cycles = as_uint(v, key);
-    } else if (key == "enable_migrate") p.enable_migrate = as_bool(v, key);
-    else if (key == "enable_distribute") p.enable_distribute = as_bool(v, key);
-    else if (key == "enable_hints") p.enable_hints = as_bool(v, key);
+    } else if (key == "enable_hints") p.enable_hints = as_bool(v, key);
     else if (key == "enable_steal_policy") p.enable_steal_policy = as_bool(v, key);
     else if (key == "enable_balancer") p.enable_balancer = as_bool(v, key);
     else if (key == "latency_target_cycles") {

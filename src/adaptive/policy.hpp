@@ -35,8 +35,6 @@ struct AdaptPolicy {
   std::uint64_t epoch_cost_cycles = 64;
 
   /// Per-actuator enables (tests use these to isolate one actuator).
-  bool enable_migrate = true;
-  bool enable_distribute = true;
   bool enable_hints = true;
   bool enable_steal_policy = true;
   /// Fourth actuator: switch the scheduler's balancer policy (Policy::

@@ -210,10 +210,6 @@ std::uint64_t Runtime::tasks_completed() const {
   return sim_ ? sim_->tasks_completed() : thr_->tasks_completed();
 }
 
-std::vector<TraceEvent> Runtime::trace() const {
-  return spans_from_events(trace_events());
-}
-
 std::vector<obs::Event> Runtime::trace_events() const {
   const obs::TraceCollector* tc =
       sim_ ? sim_->trace_collector() : thr_->trace_collector();

@@ -138,8 +138,6 @@ class Runtime {
   [[nodiscard]] std::vector<ProcUtil> utilization() const;
   [[nodiscard]] std::uint64_t tasks_completed() const;
 
-  /// Task-span projection of the trace (empty unless SystemConfig::trace).
-  [[nodiscard]] std::vector<TraceEvent> trace() const;
   /// Full typed event stream, merged across processors and sorted by start
   /// time (empty unless SystemConfig::trace).
   [[nodiscard]] std::vector<obs::Event> trace_events() const;

@@ -19,7 +19,6 @@
 #include "core/costs.hpp"
 #include "core/engine.hpp"
 #include "core/record.hpp"
-#include "core/trace.hpp"
 #include "core/taskfn.hpp"
 #include "memsim/memsystem.hpp"
 #include "obs/metrics.hpp"

@@ -6,7 +6,7 @@
 
 namespace cool {
 
-std::string render_trace_report(const std::vector<TraceEvent>& events,
+std::string render_trace_report(const std::vector<obs::Event>& events,
                                 std::uint32_t n_procs, std::uint64_t finish,
                                 int width) {
   width = std::max(8, width);
@@ -20,11 +20,12 @@ std::string render_trace_report(const std::vector<TraceEvent>& events,
   const double per_bucket =
       static_cast<double>(span_total) / static_cast<double>(width);
 
-  for (const TraceEvent& e : events) {
+  for (const obs::Event& e : events) {
+    if (e.kind != obs::EventKind::kTaskSpan) continue;
     if (e.proc >= n_procs || e.end < e.start) continue;
     busy[e.proc] += e.end - e.start;
     spans[e.proc] += 1;
-    if (e.stolen) stolen[e.proc] += 1;
+    if ((e.flags & obs::kSpanStolen) != 0) stolen[e.proc] += 1;
     // Spread the span over the buckets it overlaps.
     std::uint64_t t = e.start;
     while (t < e.end) {
@@ -59,27 +60,6 @@ std::string render_trace_report(const std::vector<TraceEvent>& events,
         .cell(line);
   }
   return t.to_string();
-}
-
-std::vector<TraceEvent> spans_from_events(
-    const std::vector<obs::Event>& events) {
-  std::vector<TraceEvent> out;
-  out.reserve(events.size());
-  for (const obs::Event& e : events) {
-    if (e.kind != obs::EventKind::kTaskSpan) continue;
-    TraceEvent t;
-    t.task_seq = e.a;
-    t.proc = e.proc;
-    t.start = e.start;
-    t.end = e.end;
-    t.stolen = (e.flags & obs::kSpanStolen) != 0;
-    const std::uint8_t end = obs::span_end(e.flags);
-    t.how = end == obs::kSpanBlocked   ? TraceEvent::End::kBlocked
-            : end == obs::kSpanYielded ? TraceEvent::End::kYielded
-                                       : TraceEvent::End::kCompleted;
-    out.push_back(t);
-  }
-  return out;
 }
 
 }  // namespace cool

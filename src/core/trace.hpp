@@ -1,13 +1,13 @@
-// Task-span view of an execution trace.
+// Per-processor utilisation report from an execution trace.
 //
 // When SystemConfig::trace is set, the engines record typed obs::Events into
-// per-processor ring buffers (obs/trace.hpp). TraceEvent is the legacy
-// span-only projection of that stream — which processor ran which task, over
-// which interval, and how the span ended — and render_trace_report turns
-// spans into a per-processor utilisation table plus a coarse ASCII timeline,
-// handy for seeing exactly how an affinity hint changed the schedule. For
-// the full event stream (steals, migrations, idle gaps) use
-// Runtime::trace_events() / Runtime::chrome_trace() instead.
+// per-processor ring buffers (obs/trace.hpp), read back merged with
+// Runtime::trace_events(). render_trace_report reads the task spans in that
+// stream — which processor ran which task, over which interval, and whether
+// it was stolen — and prints a per-processor utilisation table plus a coarse
+// ASCII timeline, handy for seeing exactly how an affinity hint changed the
+// schedule. For the full event stream (steals, migrations, idle gaps) load
+// Runtime::chrome_trace() in a trace viewer instead.
 #pragma once
 
 #include <cstdint>
@@ -19,29 +19,11 @@
 
 namespace cool {
 
-struct TraceEvent {
-  enum class End : std::uint8_t {
-    kCompleted,  ///< Task finished.
-    kBlocked,    ///< Suspended on a mutex/cond/group.
-    kYielded,    ///< Gave up the processor voluntarily.
-  };
-
-  std::uint64_t task_seq = 0;  ///< Scheduler-assigned spawn sequence number.
-  topo::ProcId proc = 0;
-  std::uint64_t start = 0;  ///< Simulated cycle the span began.
-  std::uint64_t end = 0;    ///< Simulated cycle the span ended.
-  bool stolen = false;      ///< The task was acquired by stealing.
-  End how = End::kCompleted;
-};
-
-/// Render per-processor spans/busy statistics plus an ASCII timeline with
-/// `width` columns ('#' ≥75% busy, '+' ≥25%, '.' >0, ' ' idle).
-std::string render_trace_report(const std::vector<TraceEvent>& events,
+/// Render per-processor spans/busy statistics of the kTaskSpan events in
+/// `events` (other kinds are skipped) plus an ASCII timeline with `width`
+/// columns ('#' ≥75% busy, '+' ≥25%, '.' >0, ' ' idle).
+std::string render_trace_report(const std::vector<obs::Event>& events,
                                 std::uint32_t n_procs, std::uint64_t finish,
                                 int width = 64);
-
-/// Project the typed obs event stream down to its task spans (other event
-/// kinds are skipped).
-std::vector<TraceEvent> spans_from_events(const std::vector<obs::Event>& events);
 
 }  // namespace cool

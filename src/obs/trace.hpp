@@ -1,7 +1,7 @@
 // Structured event tracing: per-processor ring buffers of typed events,
 // exportable as Chrome-trace JSON (load in chrome://tracing or Perfetto).
 //
-// This replaces the core engine's unbounded TraceEvent vector. Each processor
+// This replaces the core engine's unbounded span vector. Each processor
 // (sim) or worker (threads) records into its own fixed-capacity ring with no
 // synchronisation on the hot path — single writer per buffer, readers merge
 // after the run. When a ring wraps, the oldest events are dropped and

@@ -1,0 +1,805 @@
+// Test-only reference for adaptive::AdaptiveEngine: the engine as it was
+// before its control state was collapsed into one explicit value. Its mode
+// lives in seven interacting members (switched_balancer_,
+// enabled_steal_object_, latency_relief_on_, memory_escalation_,
+// bandwidth_escalation_, logged_memory_escalation_, rehomes_since_enable_),
+// every Hooks member is null-tested, and each actuator is written out at
+// every site that fires it. Differential tests drive the same synthetic
+// epochs through both engines and require identical decisions.
+//
+// Statement for statement the pre-refactor engine, with one exception: the
+// AdaptPolicy::enable_migrate / enable_distribute knobs no longer exist, so
+// their two checks (both always true by default) are dropped.
+#pragma once
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdarg>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "adaptive/engine.hpp"
+#include "adaptive/governor.hpp"
+#include "adaptive/policy.hpp"
+#include "obs/advisor_rules.hpp"
+#include "obs/json.hpp"
+#include "obs/latency_hist.hpp"
+#include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
+#include "obs/request_trace.hpp"
+#include "sched/scheduler.hpp"
+#include "topology/machine.hpp"
+
+namespace cool::adaptive::oracle {
+namespace detail {
+inline std::string fmt(const char* format, ...) {
+  char buf[192];
+  va_list ap;
+  va_start(ap, format);
+  std::vsnprintf(buf, sizeof buf, format, ap);
+  va_end(ap);
+  return buf;
+}
+
+inline void sub_stats(obs::AccessStats& a, const obs::AccessStats& b) {
+  const auto sub = [](std::uint64_t& x, std::uint64_t y) {
+    x = x >= y ? x - y : 0;
+  };
+  sub(a.reads, b.reads);
+  sub(a.writes, b.writes);
+  for (int i = 0; i < mem::kNumServices; ++i) sub(a.serviced[i], b.serviced[i]);
+  sub(a.invals, b.invals);
+  sub(a.stall_cycles, b.stall_cycles);
+  sub(a.remote_stall_cycles, b.remote_stall_cycles);
+}
+
+inline void sub_vec(std::vector<std::uint64_t>& a,
+             const std::vector<std::uint64_t>& b) {
+  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
+  for (std::size_t i = 0; i < n; ++i) a[i] = a[i] >= b[i] ? a[i] - b[i] : 0;
+}
+
+}  // namespace detail
+
+using detail::fmt;
+using detail::sub_stats;
+using detail::sub_vec;
+
+class AdaptiveEngine {
+ public:
+  AdaptiveEngine(const topo::MachineConfig& machine, AdaptPolicy policy,
+                 Hooks hooks);
+
+  /// Notify one task dispatch on `proc` whose clock reads `now`. When the
+  /// notification closes an epoch the engine evaluates and acts; the return
+  /// value is the cycles to charge to `proc` (0 between epochs).
+  std::uint64_t on_task_dispatch(topo::ProcId proc, std::uint64_t now);
+
+  /// Attach (or detach, with nullptr) the latency sensor feeding the
+  /// AdaptPolicy::latency_target_cycles objective: a snapshot of the
+  /// serving layer's *cumulative* per-request latency histogram (the
+  /// load::Driver's). Each epoch diffs consecutive snapshots, so the engine
+  /// judges the epoch's own p99, not the run-so-far's. Sim-thread only.
+  void set_latency_sensor(std::function<obs::LatencyHist()> sensor) {
+    latency_sensor_ = std::move(sensor);
+  }
+
+  /// Attach (or detach) the latency *decomposition* sensor: cumulative
+  /// per-component histograms (queue_wait / service / memory_stall /
+  /// steal_penalty) from the request-trace recorder, diffed per epoch like
+  /// the latency sensor. With it attached, the latency objective escalates
+  /// by *dominant component*: a queue-wait-dominated overshoot climbs the
+  /// balancer ladder as before, but a memory-stall-dominated one routes to
+  /// the migration actuators instead — moving requests around cannot fix
+  /// remote data, rehoming the data can. Without it, the objective climbs
+  /// the fixed balancer-then-steal ladder.
+  void set_breakdown_sensor(std::function<obs::BreakdownSample()> sensor) {
+    breakdown_sensor_ = std::move(sensor);
+  }
+
+  [[nodiscard]] const std::vector<Decision>& log() const noexcept {
+    return log_;
+  }
+  /// Deterministic JSON array of decisions (the bench-record export).
+  [[nodiscard]] std::string log_json() const;
+  [[nodiscard]] std::uint64_t epochs() const noexcept { return epoch_; }
+  [[nodiscard]] const AdaptPolicy& policy() const noexcept { return pol_; }
+  [[nodiscard]] const Governor& governor() const noexcept { return gov_; }
+  [[nodiscard]] const BalancerGovernor& balancer_governor() const noexcept {
+    return bal_gov_;
+  }
+
+ private:
+  std::uint64_t run_epoch(topo::ProcId proc, std::uint64_t now);
+  /// The latency-target objective: compare this epoch's p99 against the
+  /// policy target and climb/descend the relief ladder. Shares the per-epoch
+  /// action budget via `actions`.
+  void latency_objective(const obs::Snapshot& dm, std::uint64_t now,
+                         std::uint32_t& actions);
+  /// Apply one finding through its actuator; returns cycles charged and
+  /// appends to log_ iff it acted.
+  std::uint64_t act(const obs::advisor::Finding& f, topo::ProcId proc,
+                    std::uint64_t now);
+  void record(const obs::advisor::Finding& f, std::string action,
+              std::uint64_t now, std::uint64_t cost);
+
+  topo::MachineConfig machine_;
+  AdaptPolicy pol_;
+  Hooks hooks_;
+  Governor gov_;
+  BalancerGovernor bal_gov_;
+  /// True while the balancer actuator holds the scheduler away from the
+  /// Stealing default; the revert path only fires for our own switches, so
+  /// a user-selected Average/Reserve balancer is never "reverted".
+  bool switched_balancer_ = false;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t tasks_since_ = 0;
+  std::uint64_t last_epoch_cycle_ = 0;
+  /// Cycles the closing epoch covered, on a monotonic clock: dispatch times
+  /// come from whichever processor's clock closed the epoch, and under
+  /// run-to-suspension those clocks lag each other, so raw differences can
+  /// wrap. Track the high-water dispatch time instead and diff that.
+  std::uint64_t clock_hwm_ = 0;
+  std::uint64_t last_epoch_hwm_ = 0;
+  std::uint64_t last_epoch_elapsed_ = 0;
+  std::uint32_t distribute_cursor_ = 0;  ///< Round-robin home for rehoming.
+  std::uint32_t migrate_cursor_ = 0;  ///< Rotates sub-page migration targets.
+  /// Steal-relief state machine: the steal-storm response (letting OBJECT
+  /// tasks be stolen) is the right medicine while work is piled on one
+  /// processor, but once the migrate/distribute actuators have rehomed the
+  /// hot objects the same flag turns local references remote. Track whether
+  /// we enabled it and how many rehomes happened since, and revert when the
+  /// data has spread (the governor paces both directions with one key).
+  bool enabled_steal_object_ = false;
+  std::uint64_t rehomes_since_enable_ = 0;
+  /// Objects/sets already acted on — migrations and promotions are one-shot
+  /// per subject, so a cold-cache echo of the rule can't thrash the object
+  /// back and forth.
+  std::set<std::string> done_;
+  obs::ProfileSnapshot prev_profile_;
+  obs::Snapshot prev_metrics_;
+  /// Latency-target objective state: the sensor (cumulative request
+  /// histogram), the previous epoch's snapshot for deltas, and whether the
+  /// steal relief currently on was ours (so only we revert it).
+  std::function<obs::LatencyHist()> latency_sensor_;
+  obs::LatencyHist prev_latency_;
+  bool latency_relief_on_ = false;
+  /// Breakdown-sensor state: previous cumulative component histograms, and
+  /// whether the current epoch's overshoot is memory-stall-dominated — the
+  /// flag that opens act()'s serving-mode stand-down for the migration
+  /// actuators (and only them).
+  std::function<obs::BreakdownSample()> breakdown_sensor_;
+  obs::BreakdownSample prev_breakdown_;
+  bool memory_escalation_ = false;
+  /// Bandwidth-bound variant of the gate: the overshoot is memory-stall
+  /// dominated AND the channel backend reports saturated channels, so
+  /// re-homing onto one memory cannot help — only kDistributeObject (spread
+  /// pages across channels) passes the stand-down. Mutually exclusive with
+  /// memory_escalation_; recovery clears both.
+  bool bandwidth_escalation_ = false;
+  bool logged_memory_escalation_ = false;  ///< Log the transition once.
+  std::vector<Decision> log_;
+};
+
+inline AdaptiveEngine::AdaptiveEngine(const topo::MachineConfig& machine,
+                               AdaptPolicy policy, Hooks hooks)
+    : machine_(machine),
+      pol_(policy),
+      hooks_(std::move(hooks)),
+      gov_(policy.confirm_epochs, policy.cooldown_epochs),
+      bal_gov_(policy.confirm_epochs, policy.cooldown_epochs,
+               policy.balancer_dwell_epochs, policy.balancer_max_switches) {}
+
+inline std::uint64_t AdaptiveEngine::on_task_dispatch(topo::ProcId proc,
+                                               std::uint64_t now) {
+  ++tasks_since_;
+  const bool by_tasks = pol_.epoch_tasks > 0 && tasks_since_ >= pol_.epoch_tasks;
+  const bool by_cycles =
+      pol_.epoch_cycles > 0 && now - last_epoch_cycle_ >= pol_.epoch_cycles;
+  if (now > clock_hwm_) clock_hwm_ = now;
+  if (!by_tasks && !by_cycles) return 0;
+  tasks_since_ = 0;
+  last_epoch_elapsed_ = clock_hwm_ - last_epoch_hwm_;
+  last_epoch_hwm_ = clock_hwm_;
+  last_epoch_cycle_ = now;
+  return run_epoch(proc, now);
+}
+
+inline std::uint64_t AdaptiveEngine::run_epoch(topo::ProcId proc, std::uint64_t now) {
+  ++epoch_;
+  obs::ProfileSnapshot cur = hooks_.profile ? hooks_.profile()
+                                            : obs::ProfileSnapshot{};
+  obs::Snapshot met = hooks_.metrics ? hooks_.metrics() : obs::Snapshot{};
+
+  // Per-epoch deltas: subtract the previous cumulative snapshots so the
+  // rules judge this epoch's behaviour, not the run's whole history. The
+  // set `procs` lists stay cumulative (a set that ever spread has lost its
+  // reuse; there is no meaningful per-epoch subtraction of a set of ids).
+  obs::ProfileSnapshot delta = cur;
+  {
+    std::unordered_map<std::uint64_t, const obs::ProfileSnapshot::ObjectRow*>
+        prev_obj;
+    for (const auto& o : prev_profile_.objects) prev_obj[o.addr] = &o;
+    for (auto& o : delta.objects) {
+      auto it = prev_obj.find(o.addr);
+      if (it == prev_obj.end()) continue;
+      sub_stats(o.s, it->second->s);
+      sub_vec(o.miss_from_cluster, it->second->miss_from_cluster);
+      sub_vec(o.miss_home_cluster, it->second->miss_home_cluster);
+    }
+    std::unordered_map<std::uint64_t, const obs::ProfileSnapshot::SetRow*>
+        prev_set;
+    for (const auto& s : prev_profile_.sets) prev_set[s.key] = &s;
+    for (auto& s : delta.sets) {
+      auto it = prev_set.find(s.key);
+      if (it == prev_set.end()) continue;
+      sub_stats(s.s, it->second->s);
+      s.tasks = s.tasks >= it->second->tasks ? s.tasks - it->second->tasks : 0;
+      s.stolen =
+          s.stolen >= it->second->stolen ? s.stolen - it->second->stolen : 0;
+    }
+    sub_stats(delta.total, prev_profile_.total);
+  }
+  obs::Snapshot dm = met.diff(prev_metrics_);
+  // Queue depths and the channel count are gauges, not counters: subtracting
+  // the previous instantaneous value is meaningless, so carry them through.
+  for (const char* g :
+       {"sched.queue.now", "sched.queue.max_now", "mem.chan.count"}) {
+    auto it = met.values.find(g);
+    if (it != met.values.end()) dm.values[it->first] = it->second;
+  }
+  prev_profile_ = std::move(cur);
+  prev_metrics_ = std::move(met);
+
+  const std::vector<obs::advisor::Finding> findings =
+      obs::advisor::evaluate(delta, dm, pol_.rules);
+
+  std::uint64_t cost = pol_.epoch_cost_cycles;
+  std::uint32_t actions = 0;
+  const std::uint64_t rehomes_before = rehomes_since_enable_;
+  // The latency objective runs before the throughput findings so a serving
+  // workload's tail-latency relief is first in line for the action budget.
+  latency_objective(dm, now + cost, actions);
+  for (const obs::advisor::Finding& f : findings) {
+    if (actions >= pol_.max_actions_per_epoch) break;
+    const std::size_t before = log_.size();
+    cost += act(f, proc, now + cost);
+    if (log_.size() > before) ++actions;
+  }
+
+  // Revert the steal-storm relief once rehoming has spread the data: with
+  // the hot objects now homed next to (or across) their users, OBJECT tasks
+  // are placed on useful processors and stealing them only trades locality
+  // away. Wait for the rehome wave to dry up (an epoch with rehomes done but
+  // none new) — reverting mid-wave strands the still-unmoved objects' tasks
+  // on the old home — AND for the pile-up itself to drain: programs whose
+  // hot set evolves (gauss's elimination front) pause rehoming for an epoch
+  // while a deep queue still sits on the old home. The shared governor key
+  // keeps enable/revert at least one cooldown apart; if imbalance returns,
+  // the storm rule re-enables.
+  std::uint64_t queued_max = 0;
+  if (auto it = dm.values.find("sched.queue.max_now"); it != dm.values.end()) {
+    queued_max = it->second;
+  }
+  if (pol_.enable_steal_policy && enabled_steal_object_ &&
+      rehomes_since_enable_ > 0 &&
+      rehomes_since_enable_ == rehomes_before &&
+      queued_max * 2 < machine_.n_procs && hooks_.mutate_policy &&
+      gov_.admit("policy:steal_object_tasks", epoch_)) {
+    hooks_.mutate_policy(
+        [](sched::Policy& p) { p.steal_object_tasks = false; });
+    enabled_steal_object_ = false;
+    rehomes_since_enable_ = 0;
+    obs::advisor::Finding f;
+    f.kind = obs::AdviceKind::kStealStorm;
+    f.subject = "scheduler";
+    record(f, "steal_object_tasks=off (data spread)", now + cost, 0);
+  }
+
+  // Revert the balancer escalation once the pile-up has drained: the Average
+  // balancer's periodic equalisation is pure overhead on a balanced machine,
+  // and reverting restores the Stealing balancer's byte-identical default
+  // probe order. The BalancerGovernor's dwell keeps the switch and its revert
+  // at least one dwell window apart, and the revert consumes one of the
+  // lifetime switch slots like any other swap. In serving mode the latency
+  // objective owns the switch AND its revert: a shallow queue here just
+  // means the escalation is *working* — under sustained hot-key load the
+  // revert would reopen the very pile-up it is celebrating, so it defers to
+  // the ladder's p99-headroom revert instead.
+  if (pol_.latency_target_cycles == 0 && switched_balancer_ &&
+      queued_max * 2 < machine_.n_procs &&
+      hooks_.mutate_policy && hooks_.policy &&
+      hooks_.policy().balancer == sched::BalancerKind::kAverage &&
+      bal_gov_.admit("balancer:stealing", epoch_)) {
+    hooks_.mutate_policy([](sched::Policy& p) {
+      p.balancer = sched::BalancerKind::kStealing;
+    });
+    switched_balancer_ = false;
+    obs::advisor::Finding f;
+    f.kind = obs::AdviceKind::kIdleImbalance;
+    f.subject = "scheduler";
+    record(f, "balancer=stealing (pile-up drained)", now + cost, 0);
+  }
+  return cost;
+}
+
+inline void AdaptiveEngine::latency_objective(const obs::Snapshot& dm,
+                                       std::uint64_t now,
+                                       std::uint32_t& actions) {
+  if (pol_.latency_target_cycles == 0 || !latency_sensor_) return;
+  if (!hooks_.mutate_policy || !hooks_.policy) return;
+  const obs::LatencyHist cur = latency_sensor_();
+  const obs::LatencyHist delta = cur.diff(prev_latency_);
+  prev_latency_ = cur;
+  // Decomposition sensor: diff the component histograms every epoch the
+  // objective runs (consecutive snapshots must pair up, so this happens
+  // before any early return below) and judge which component built this
+  // epoch's latency mass.
+  bool have_breakdown = false;
+  bool mem_dominated = false;
+  if (breakdown_sensor_) {
+    obs::BreakdownSample bcur = breakdown_sensor_();
+    const obs::LatencyHist d_queue =
+        bcur.queue_wait.diff(prev_breakdown_.queue_wait);
+    const obs::LatencyHist d_mem =
+        bcur.memory_stall.diff(prev_breakdown_.memory_stall);
+    prev_breakdown_ = std::move(bcur);
+    have_breakdown = true;
+    mem_dominated = d_mem.sum() > d_queue.sum();
+  }
+  // Channel-saturation sensor (needs a channel backend; the flat model
+  // exports no mem.chan.* gauges and leaves this false). Peak per-channel
+  // busy share of this epoch: the hottest channel's busy-cycle delta over
+  // the cycles the epoch covered. Peak, not mean — a skewed workload
+  // saturates the hot cluster's channels while the other fourteen idle, and
+  // it is the hot channel the tail queues behind. Distinguishes *why*
+  // memory stalls dominate: latency (remote distance — migrate toward the
+  // user) vs bandwidth (saturated channel — only spreading across more
+  // channels helps).
+  bool bandwidth_bound = false;
+  std::uint64_t saturation_pct = 0;
+  if (last_epoch_elapsed_ > 0 &&
+      dm.values.find("mem.chan.count") != dm.values.end()) {
+    std::uint64_t peak = 0;
+    for (const auto& [key, v] : dm.values) {
+      // Per-channel counters are "mem.chan.<i>.busy_cycles"; the aggregate
+      // ("mem.chan.busy_cycles") and other families don't match.
+      if (key.size() > 21 && key.compare(0, 9, "mem.chan.") == 0 &&
+          key.compare(key.size() - 12, 12, ".busy_cycles") == 0 &&
+          key != "mem.chan.busy_cycles") {
+        peak = std::max(peak, v);
+      }
+    }
+    // The channel services requests on its own arrival-time clock, which can
+    // run slightly ahead of the dispatch high-water clock; clamp so the
+    // logged share reads as a fraction of the epoch.
+    const double sat = std::min(1.0, static_cast<double>(peak) /
+                                         static_cast<double>(last_epoch_elapsed_));
+    saturation_pct = static_cast<std::uint64_t>(100.0 * sat + 0.5);
+    bandwidth_bound = sat >= pol_.bandwidth_saturation_frac;
+  }
+  // Too few completions to trust a tail estimate: an epoch that completed
+  // almost nothing while requests pile up will trip the ladder next epoch,
+  // when the queued requests complete with their queueing delay on record.
+  if (delta.count() < pol_.latency_min_samples) return;
+  const std::uint64_t p99 = delta.quantile(0.99);
+  const std::uint64_t target = pol_.latency_target_cycles;
+
+  obs::advisor::Finding f;
+  f.kind = obs::AdviceKind::kLatencyTarget;
+  f.subject = "requests";
+  if (auto it = dm.values.find("sched.queue.max_now"); it != dm.values.end()) {
+    f.queued_max = it->second;
+  }
+
+  if (p99 > target) {
+    if (actions >= pol_.max_actions_per_epoch) return;
+    // Dominant-component routing (breakdown sensor attached): when this
+    // epoch's latency mass is memory stall rather than queue wait, the
+    // ladder below is the wrong medicine — balancer moves and pin-break
+    // steals relocate *requests*, but the tail is built from remote-data
+    // service time, which moving requests around can only spread, not
+    // shrink. Instead open the serving-mode stand-down for the migration
+    // actuators (act() lets kMigrateObject / kDistributeObject through
+    // while memory_escalation_ holds) so the advisor's data-plane rules
+    // rehome the remote-hot objects. Logged once, deterministically. The
+    // gate is sticky across overshoot epochs: the rehome wave itself stalls
+    // serving processors and invalidates cached lines, which manufactures
+    // transient queue-dominated epochs — flipping to the balancer mid-wave
+    // would abandon the data fix for request churn. Only recovery (p99 back
+    // at or under target) closes it.
+    // Bandwidth refinement: when the channels themselves are saturated,
+    // migrating the hot object toward its users concentrates *more* fills on
+    // the destination cluster's channels — the opposite of relief. Route to
+    // the distribute actuator alone (spread pages across channels) instead
+    // of the full migrate/distribute pair. The choice is made once, on the
+    // first memory-dominated overshoot epoch, and is sticky like the gate
+    // itself: the rehome wave perturbs both sensors mid-flight.
+    if (have_breakdown && mem_dominated && !memory_escalation_ &&
+        !bandwidth_escalation_) {
+      if (bandwidth_bound) {
+        bandwidth_escalation_ = true;
+      } else {
+        memory_escalation_ = true;
+      }
+    }
+    if (memory_escalation_ || bandwidth_escalation_) {
+      if (!logged_memory_escalation_) {
+        logged_memory_escalation_ = true;
+        if (bandwidth_escalation_) {
+          f.kind = obs::AdviceKind::kBandwidthBound;
+          record(f,
+                 fmt("escalate=distribute (bandwidth-bound, hot channel "
+                     "%" PRIu64 "%% busy, p99 %" PRIu64 " > target %" PRIu64
+                     ")",
+                     saturation_pct, p99, target),
+                 now, 0);
+        } else {
+          record(f,
+                 fmt("escalate=migrate (memory-stall dominated, p99 %" PRIu64
+                     " > target %" PRIu64 ")",
+                     p99, target),
+                 now, 0);
+        }
+        ++actions;
+      }
+      return;
+    }
+    const sched::Policy p = hooks_.policy();
+    if (!p.steal_enabled) return;
+    // Rung 1: escalate to the Average balancer's batched moves (opt-in, and
+    // only from the Stealing default: a user-chosen balancer stays). Moves
+    // are the *gentle* relief for a hot-key tail: they relocate only the
+    // over-average part of the overlong queue, youngest first, and leave
+    // every other server's placement untouched.
+    if (pol_.enable_balancer &&
+        p.balancer == sched::BalancerKind::kStealing) {
+      if (!bal_gov_.admit("balancer:average", epoch_)) return;
+      hooks_.mutate_policy([](sched::Policy& pol) {
+        pol.balancer = sched::BalancerKind::kAverage;
+      });
+      switched_balancer_ = true;
+      record(f,
+             fmt("balancer=average (p99 %" PRIu64 " > target %" PRIu64 ")",
+                 p99, target),
+             now, 0);
+      ++actions;
+      return;
+    }
+    // Rung 2: the tail is still over target (or the balancer actuator is
+    // off) — open pin-break stealing so every idle probe can take OBJECT-
+    // pinned requests. This is the aggressive last resort, not the first
+    // move: stolen requests run their critical sections with remote data,
+    // which inflates monitor hold times on exactly the hot keys the tail
+    // is queued behind. Give rung 1 a full balancer dwell first: right
+    // after the switch the completing backlog still carries its
+    // pre-escalation queueing delay, so the epoch p99 lags the fix.
+    if (switched_balancer_ &&
+        epoch_ < bal_gov_.last_switch_epoch() + pol_.balancer_dwell_epochs) {
+      return;
+    }
+    if (!p.steal_object_tasks) {
+      if (!gov_.admit("latency:steal_object_tasks", epoch_)) return;
+      hooks_.mutate_policy(
+          [](sched::Policy& pol) { pol.steal_object_tasks = true; });
+      latency_relief_on_ = true;
+      record(f,
+             fmt("steal_object_tasks=on (p99 %" PRIu64 " > target %" PRIu64
+                 ")",
+                 p99, target),
+             now, 0);
+      ++actions;
+    }
+    return;
+  }
+
+  // Back at or under target: close the migration gates. The one-shot
+  // migrations already applied stay in place, but further data-plane churn
+  // must be justified by a fresh memory-dominated overshoot.
+  memory_escalation_ = false;
+  bandwidth_escalation_ = false;
+
+  // Relief revert: only the steal flag comes back down, and only with real
+  // headroom (p99 at or under half the target), so the ladder cannot
+  // oscillate on a tail that hovers at the target. The balancer escalation
+  // is deliberately *not* reverted while the objective is active: a good
+  // epoch p99 after the switch means the escalation is working, and
+  // switching back mid-trace lets the hot-key queue rebuild for every
+  // arrival still to come. Pin-break stealing, by contrast, has a real
+  // ongoing cost (remote critical sections) worth shedding once the tail
+  // clears.
+  if (latency_relief_on_ && p99 * 2 <= target &&
+      hooks_.policy().steal_object_tasks) {
+    if (!gov_.admit("latency:steal_object_tasks", epoch_)) return;
+    hooks_.mutate_policy(
+        [](sched::Policy& pol) { pol.steal_object_tasks = false; });
+    latency_relief_on_ = false;
+    record(f,
+           fmt("steal_object_tasks=off (p99 %" PRIu64 " <= target/2)", p99),
+           now, 0);
+  }
+}
+
+inline std::uint64_t AdaptiveEngine::act(const obs::advisor::Finding& f,
+                                  topo::ProcId proc, std::uint64_t now) {
+  // Serving mode: a latency target states the user's objective, and every
+  // throughput-heuristic actuator below was tuned for batch programs with
+  // no notion of a tail. Data-plane churn (migrating or re-homing the hot
+  // object mid-trace, promoting its requests into back-to-back sets) and
+  // pin-break stealing all *raise* a hot-key p99 — the latency ladder
+  // (latency_objective) is the only actuator that evaluates its actions
+  // against the stated objective, so the rest stand down. The steal-storm
+  // scan cap stays available: bounding failed scans is objective-neutral.
+  // Exception: while the breakdown sensor has diagnosed the overshoot as
+  // memory-stall dominated (memory_escalation_), the migration actuators
+  // are exactly the objective's chosen remedy and pass through. The
+  // bandwidth-bound refinement narrows the opening further: saturated
+  // channels mean re-homing onto one memory only moves the queueing, so
+  // only kDistributeObject (spread pages across channels) passes.
+  const bool migration = f.kind == obs::AdviceKind::kMigrateObject ||
+                         f.kind == obs::AdviceKind::kDistributeObject;
+  const bool escalated =
+      bandwidth_escalation_
+          ? f.kind == obs::AdviceKind::kDistributeObject
+          : (memory_escalation_ && migration);
+  if (pol_.latency_target_cycles != 0 &&
+      f.kind != obs::AdviceKind::kStealStorm && !escalated) {
+    return 0;
+  }
+  // Rehoming target filter: Policy::reserve_exclude_mask marks processors
+  // whose cycles belong to non-queue work (a serving front-end) — homing a
+  // hot object there makes it permanently remote to every server. Skip them
+  // when rotating rehome targets, unless the mask excludes everything.
+  const std::uint64_t excl =
+      hooks_.policy ? hooks_.policy().reserve_exclude_mask : 0;
+  const auto pick = [this, excl](std::uint32_t base, std::uint32_t span,
+                                 std::uint32_t idx) -> topo::ProcId {
+    for (std::uint32_t k = 0; k < span; ++k) {
+      const std::uint32_t cand = base + (idx + k) % span;
+      if (cand < machine_.n_procs && ((excl >> cand) & 1) == 0) {
+        return static_cast<topo::ProcId>(cand);
+      }
+    }
+    return static_cast<topo::ProcId>(base + idx % span);
+  };
+  switch (f.kind) {
+    case obs::AdviceKind::kMigrateObject: {
+      if (!hooks_.migrate) return 0;
+      const std::string done_key = "object:" + f.subject;
+      if (done_.count(done_key) != 0) return 0;
+      if (!gov_.admit("migrate:" + f.subject, epoch_)) return 0;
+      const topo::ProcId first = static_cast<topo::ProcId>(
+          f.user_cluster * machine_.procs_per_cluster);
+      const std::uint64_t pb = machine_.page_bytes;
+      const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
+      std::uint64_t c = 0;
+      std::string action;
+      if (pages > 1 && first < machine_.n_procs) {
+        // Multi-page object: spread its pages over the dominant cluster's
+        // processors rather than piling the whole thing onto one memory —
+        // the object moves next to its users without creating a hotspot.
+        const std::uint32_t span = machine_.n_procs - first <
+                                           machine_.procs_per_cluster
+                                       ? machine_.n_procs - first
+                                       : machine_.procs_per_cluster;
+        for (std::uint64_t i = 0; i < pages; ++i) {
+          const std::uint64_t off = i * pb;
+          const std::uint64_t len =
+              off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
+          const topo::ProcId target =
+              pick(first, span, static_cast<std::uint32_t>(i));
+          c += hooks_.migrate(proc, f.obj_addr + off, len, target, now + c);
+        }
+        action = fmt("migrate %" PRIu64 " pages into cluster %zu", pages,
+                     f.user_cluster);
+      } else {
+        // Sub-page object: rotate the target over the cluster's processors
+        // so a family of small hot objects doesn't pile onto one memory.
+        topo::ProcId target = first;
+        if (first < machine_.n_procs) {
+          const std::uint32_t span = machine_.n_procs - first <
+                                             machine_.procs_per_cluster
+                                         ? machine_.n_procs - first
+                                         : machine_.procs_per_cluster;
+          target = pick(first, span, migrate_cursor_);
+          ++migrate_cursor_;
+        } else {
+          target = machine_.n_procs - 1;
+        }
+        c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
+        action =
+            fmt("migrate to proc %u (cluster %zu)", target, f.user_cluster);
+      }
+      done_.insert(done_key);
+      ++rehomes_since_enable_;
+      record(f, std::move(action), now, c);
+      return c;
+    }
+    case obs::AdviceKind::kDistributeObject: {
+      if (!hooks_.migrate) return 0;
+      const std::string done_key = "object:" + f.subject;
+      if (done_.count(done_key) != 0) return 0;
+      if (!gov_.admit("distribute:" + f.subject, epoch_)) return 0;
+      const std::uint64_t pb = machine_.page_bytes;
+      const std::uint64_t pages = (f.obj_bytes + pb - 1) / pb;
+      std::uint64_t c = 0;
+      std::string action;
+      if (pages > 1) {
+        // Multi-page object: round-robin its pages across every processor's
+        // memory — the automated version of the hand `distribute()` call.
+        for (std::uint64_t i = 0; i < pages; ++i) {
+          const std::uint64_t off = i * pb;
+          const std::uint64_t len =
+              off + pb <= f.obj_bytes ? pb : f.obj_bytes - off;
+          const topo::ProcId target =
+              pick(0, machine_.n_procs, static_cast<std::uint32_t>(i));
+          c += hooks_.migrate(proc, f.obj_addr + off, len, target, now + c);
+        }
+        action = fmt("distribute %" PRIu64 " pages round-robin", pages);
+      } else {
+        // Sub-page object: rehome it whole, rotating the target so a family
+        // of small hot objects (e.g. matrix columns) spreads out.
+        const topo::ProcId target = pick(0, machine_.n_procs, distribute_cursor_);
+        distribute_cursor_ =
+            (distribute_cursor_ + 1) % machine_.n_procs;
+        c = hooks_.migrate(proc, f.obj_addr, f.obj_bytes, target, now);
+        action = fmt("rehome to proc %u (round-robin)", target);
+      }
+      done_.insert(done_key);
+      ++rehomes_since_enable_;
+      record(f, std::move(action), now, c);
+      return c;
+    }
+    case obs::AdviceKind::kTaskAffinity: {
+      if (!pol_.enable_hints || !hooks_.promote) return 0;
+      const std::string done_key = "promote:" + f.subject;
+      if (done_.count(done_key) != 0) return 0;
+      if (!gov_.admit(done_key, epoch_)) return 0;
+      hooks_.promote(f.set_key, true);
+      done_.insert(done_key);
+      record(f, "promote to TASK affinity", now, 0);
+      return 0;
+    }
+    case obs::AdviceKind::kWholeSetStealing: {
+      if (!pol_.enable_steal_policy || !hooks_.mutate_policy || !hooks_.policy) {
+        return 0;
+      }
+      const sched::Policy p = hooks_.policy();
+      if (!p.steal_enabled || p.steal_whole_sets) return 0;
+      if (!gov_.admit("policy:steal_whole_sets", epoch_)) return 0;
+      hooks_.mutate_policy(
+          [](sched::Policy& pol) { pol.steal_whole_sets = true; });
+      record(f, "steal_whole_sets=on", now, 0);
+      return 0;
+    }
+    case obs::AdviceKind::kIdleImbalance: {
+      // Idleness alone is too noisy to act on online: barrier-structured
+      // programs (ocean) show large per-epoch idle fractions between phases
+      // with nothing wrong. Act only on the pile-up signature — processors
+      // idle while a deep run queue sits on a single server. A balanced
+      // spawn burst puts at most a task or two on each queue, so a deepest
+      // queue holding half the machine's worth of work means the work
+      // exists but cannot spread.
+      if (!pol_.enable_steal_policy || !hooks_.mutate_policy ||
+          !hooks_.policy) {
+        return 0;
+      }
+      if (f.queued_max * 2 < machine_.n_procs) return 0;
+      // With a latency target set, the latency objective owns the
+      // steal_object_tasks knob and the balancer escalation: its ladder
+      // tries batched moves first because pin-break stealing makes a
+      // hot-key tail *worse* (stolen requests hold their monitors over
+      // remote data). The throughput-oriented pile-up relief here would
+      // fight that ordering, so it stands down.
+      if (pol_.latency_target_cycles != 0) return 0;
+      const sched::Policy p = hooks_.policy();
+      if (!p.steal_enabled) return 0;
+      if (!p.steal_object_tasks) {
+        if (!pol_.enable_steal_policy) return 0;
+        if (!gov_.admit("policy:steal_object_tasks", epoch_)) return 0;
+        hooks_.mutate_policy(
+            [](sched::Policy& pol) { pol.steal_object_tasks = true; });
+        enabled_steal_object_ = true;
+        rehomes_since_enable_ = 0;
+        record(f, "steal_object_tasks=on (queue pile-up)", now, 0);
+        return 0;
+      }
+      // Escalation: the steal-policy relief is already on and the pile-up is
+      // still here — on-demand stealing drains one task per idle probe, which
+      // cannot keep up with a producer that refills the deep queue. Switch
+      // the balancer to Average, whose kMoveTasks commands pull a queue down
+      // to the level mean in one grab. Only escalate from the Stealing
+      // default: a user-selected Average/Reserve balancer is not ours to
+      // replace.
+      if (!pol_.enable_balancer || p.balancer != sched::BalancerKind::kStealing) {
+        return 0;
+      }
+      if (!bal_gov_.admit("balancer:average", epoch_)) return 0;
+      hooks_.mutate_policy([](sched::Policy& pol) {
+        pol.balancer = sched::BalancerKind::kAverage;
+      });
+      switched_balancer_ = true;
+      record(f, "balancer=average (pile-up persists)", now, 0);
+      return 0;
+    }
+    case obs::AdviceKind::kStealStorm: {
+      if (!pol_.enable_steal_policy || !hooks_.mutate_policy || !hooks_.policy) {
+        return 0;
+      }
+      const sched::Policy p = hooks_.policy();
+      if (!p.steal_enabled) return 0;
+      // In serving mode the latency ladder owns the steal knob (see the
+      // stand-down above) — fall through to the objective-neutral scan cap.
+      if (!p.steal_object_tasks && pol_.latency_target_cycles == 0) {
+        // Idle processors scan but find nothing stealable: the usual cause
+        // is every task carrying OBJECT affinity (default-steal-exempt).
+        // Letting object tasks be stolen is the least intrusive relief.
+        if (!gov_.admit("policy:steal_object_tasks", epoch_)) return 0;
+        hooks_.mutate_policy(
+            [](sched::Policy& pol) { pol.steal_object_tasks = true; });
+        enabled_steal_object_ = true;
+        rehomes_since_enable_ = 0;
+        record(f, "steal_object_tasks=on", now, 0);
+        return 0;
+      }
+      if (p.max_steal_scan == 0) {
+        // Still storming with stealing wide open: bound the scan length so
+        // idle processors stop sweeping every queue on the machine.
+        if (!gov_.admit("policy:max_steal_scan", epoch_)) return 0;
+        const std::uint32_t cap = machine_.procs_per_cluster;
+        hooks_.mutate_policy(
+            [cap](sched::Policy& pol) { pol.max_steal_scan = cap; });
+        record(f, fmt("max_steal_scan=%u", cap), now, 0);
+        return 0;
+      }
+      return 0;
+    }
+    case obs::AdviceKind::kLatencyTarget:
+      // Never emitted by the advisor: the latency objective acts directly
+      // (latency_objective), outside the findings loop.
+      return 0;
+    case obs::AdviceKind::kBandwidthBound:
+      // Diagnostic, not an actuator: the latency objective owns the
+      // bandwidth escalation (it opens the stand-down for the distribute
+      // actuator above), and offline the advisor renders it as advice.
+      return 0;
+  }
+  return 0;
+}
+
+inline void AdaptiveEngine::record(const obs::advisor::Finding& f, std::string action,
+                            std::uint64_t now, std::uint64_t cost) {
+  Decision d;
+  d.epoch = epoch_;
+  d.cycle = now;
+  d.rule = f.kind;
+  d.subject = f.subject;
+  d.action = std::move(action);
+  d.cost_cycles = cost;
+  log_.push_back(std::move(d));
+}
+
+inline std::string AdaptiveEngine::log_json() const {
+  obs::json::Writer w;
+  w.begin_array();
+  for (const Decision& d : log_) {
+    w.begin_object();
+    w.key("epoch").uint_value(d.epoch);
+    w.key("cycle").uint_value(d.cycle);
+    w.key("rule").string(obs::advice_kind_name(d.rule));
+    w.key("subject").string(d.subject);
+    w.key("action").string(d.action);
+    w.key("cost_cycles").uint_value(d.cost_cycles);
+    w.end_object();
+  }
+  w.end_array();
+  return w.str();
+}
+
+}  // namespace cool::adaptive::oracle

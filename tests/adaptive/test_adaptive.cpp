@@ -282,6 +282,7 @@ TEST(AdaptPolicyJson, RoundTrips) {
 
 TEST(AdaptPolicyJson, UnknownKeyThrows) {
   EXPECT_THROW(parse_adapt_policy("{\"epoch_taks\": 5}"), util::Error);
+  EXPECT_THROW(parse_adapt_policy("{\"enable_migrate\": true}"), util::Error);
 }
 
 TEST(AdaptPolicyJson, MalformedJsonThrows) {
